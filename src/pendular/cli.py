@@ -227,9 +227,11 @@ def cmd_fit(args, parser) -> int:
 
 def cmd_chain_ed(args, parser) -> int:
     x, omega, units = _resolve_point(args, parser)
-    mset = moments(x, args.j_max)
-    consts = chain_constants(mset, omega)
-    spec = ChainSpec(n=args.n, j=consts.j, jz=consts.jz, gamma=consts.gamma, boundary=args.boundary)
+    try:
+        consts = chain_constants(moments(x, args.j_max), omega)
+        spec = ChainSpec(n=args.n, j=consts.j, jz=consts.jz, gamma=consts.gamma, boundary=args.boundary)
+    except ValueError as exc:
+        parser.error(str(exc))
     result = ground_state(spec)
     phase = classify_phase(result, consts)
     table = Table(
@@ -280,15 +282,18 @@ def cmd_phase_diagram(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     thresholds = PhaseThresholds(magnetization=args.fm_threshold)
-    table = phase_diagram(
-        xs,
-        omegas,
-        n=args.n,
-        boundary=args.boundary,
-        thresholds=thresholds,
-        j_max=args.j_max,
-        workers=args.workers,
-    )
+    try:
+        table = phase_diagram(
+            xs,
+            omegas,
+            n=args.n,
+            boundary=args.boundary,
+            thresholds=thresholds,
+            j_max=args.j_max,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     meta = {
         "n": args.n,
         "boundary": args.boundary,

@@ -110,3 +110,24 @@ def xx_open_chain_gap(n: int, j: float) -> float:
 def two_site_spectrum(j: float, jz: float, gamma: float) -> np.ndarray:
     """Analytic eigenvalues of the two-site chain."""
     return np.sort(np.array([jz + 2 * gamma, jz - 2 * gamma, -jz + 2 * j, -jz - 2 * j]))
+
+
+def full_space_ground(h: np.ndarray, n: int, bonds: list[tuple[int, int]]) -> dict[str, float]:
+    """Ground energy, gap and ground-state observables of a full 2^n matrix.
+
+    Diagonalizes the whole Hilbert space at once, with no magnetization
+    sectors, and reads every observable bit by bit from the basis index.
+    The observables are meaningful only for a non-degenerate ground state.
+    """
+    energies, vecs = np.linalg.eigh(h)
+    weights = vecs[:, 0] ** 2
+    sz = np.array([[1.0 if (s >> i) & 1 else -1.0 for i in range(n)] for s in range(1 << n)])
+    staggered = (sz * (-1.0) ** np.arange(n)).sum(axis=1) / n
+    return {
+        "ground_energy": float(energies[0]),
+        "gap": float(energies[1] - energies[0]),
+        "magnetization_per_site": float(weights @ sz.sum(axis=1)) / n,
+        "nn_zz_correlation": float(sum(weights @ (sz[:, i] * sz[:, j]) for i, j in bonds)) / len(bonds),
+        "staggered_zz_correlation": float(weights @ staggered**2),
+        "ground_overlap_polarized": float(weights[-1]),
+    }

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+import pendular.chain as chain_module
 from pendular.chain import (
     ChainSpec,
     Phase,
     PhaseThresholds,
+    SectorConvergenceError,
     build_chain_hamiltonian,
     chain_constants,
     classify_phase,
@@ -15,7 +19,18 @@ from pendular.chain import (
 )
 from pendular.moments import moments
 
-from oracles import two_site_spectrum, xx_open_chain_gap, xx_open_chain_ground_energy
+from oracles import (
+    full_space_ground,
+    two_site_spectrum,
+    xx_open_chain_gap,
+    xx_open_chain_ground_energy,
+)
+
+#: (jz/j, gamma) with j = 1: ferromagnetic, Luttinger-liquid and
+#: antiferromagnetic couplings at zero, moderate and saturating field.  The
+#: physical (x, Omega) grids label every point ferromagnetic, so these
+#: direct specs are what reach the other two labels.
+ORACLE_SPECS = [(jz, gamma) for jz in (-2.0, 0.5, 3.0) for gamma in (0.0, 0.7, 12.0)]
 
 
 class TestChainSpec:
@@ -28,6 +43,14 @@ class TestChainSpec:
     def test_rejects_bad_boundary(self):
         with pytest.raises(ValueError):
             ChainSpec(n=4, j=1.0, jz=0.0, gamma=0.0, boundary="twisted")
+
+    @pytest.mark.parametrize(
+        "field,value", [("j", math.nan), ("jz", math.inf), ("gamma", math.nan), ("gamma", -math.inf)]
+    )
+    def test_rejects_non_finite_couplings(self, field, value):
+        couplings = {"j": 1.0, "jz": 0.5, "gamma": 0.1, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            ChainSpec(n=4, **couplings)
 
     def test_bonds(self):
         open_spec = ChainSpec(n=4, j=1.0, jz=0.0, gamma=0.0)
@@ -149,6 +172,65 @@ class TestGroundState:
         iterative = ground_state(spec, method="iterative")
         assert abs(dense.ground_energy - iterative.ground_energy) <= 1e-10
 
+    @pytest.mark.parametrize("method", ["auto", "iterative"])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_matches_full_space_diagonalization(self, n, boundary, method):
+        labels = set()
+        for jz, gamma in ORACLE_SPECS:
+            spec = ChainSpec(n=n, j=1.0, jz=jz, gamma=gamma, boundary=boundary)
+            oracle = full_space_ground(build_chain_hamiltonian(spec).toarray(), n, spec.bonds)
+            res = ground_state(spec, method=method)
+            assert res.ground_energy == pytest.approx(oracle["ground_energy"], abs=1e-10)
+            assert res.gap == pytest.approx(oracle["gap"], abs=1e-10)
+            if oracle["gap"] > 1e-8:
+                for name in (
+                    "magnetization_per_site",
+                    "nn_zz_correlation",
+                    "staggered_zz_correlation",
+                    "ground_overlap_polarized",
+                ):
+                    assert getattr(res, name) == pytest.approx(oracle[name], abs=1e-9), name
+                assert res.degenerate_partner_magnetization is None
+            else:
+                # gamma = 0 ferromagnet: the two polarized states tie and the
+                # positive one wins.
+                assert (jz, gamma) == (-2.0, 0.0)
+                assert res.magnetization_per_site == 1.0
+                assert res.degenerate_partner_magnetization == -1.0
+            labels.add(classify_phase(res, (spec.j, spec.jz, spec.gamma)))
+        assert labels == set(Phase)
+
+    def test_lanczos_reaches_every_lattice_symmetry(self):
+        # A translation-invariant start vector is an exact eigenvector of the
+        # one-magnon sector of a ring and misses the levels of other momenta.
+        spec = ChainSpec(n=12, j=1.0, jz=-0.5, gamma=0.0, boundary="periodic")
+        iterative = ground_state(spec, method="iterative")
+        dense = ground_state(spec, method="dense")
+        assert iterative.ground_energy == pytest.approx(dense.ground_energy, abs=1e-10)
+        assert iterative.gap == pytest.approx(dense.gap, abs=1e-10)
+
+    @pytest.mark.parametrize("method", ["auto", "dense", "iterative"])
+    def test_zero_couplings_every_method(self, method):
+        res = ground_state(ChainSpec(n=12, j=0.0, jz=0.0, gamma=0.3), method=method)
+        assert res.ground_energy == pytest.approx(-12 * 0.3, rel=1e-14)
+        assert res.magnetization_per_site == 1.0
+        assert res.gap == pytest.approx(2 * 0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("solver,method", [("eigsh", "iterative"), ("eigh", "dense")])
+    def test_unconverged_eigenpair_is_rejected(self, monkeypatch, solver, method):
+        exact = getattr(chain_module, solver)
+
+        def perturbed(*args, **kwargs):
+            energies, vecs = exact(*args, **kwargs)
+            vecs = vecs.copy()
+            vecs[0] += 1e-4
+            return energies, vecs
+
+        monkeypatch.setattr(chain_module, solver, perturbed)
+        with pytest.raises(SectorConvergenceError, match=r"n=6 chain: eigen-residual"):
+            ground_state(ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.0), method=method)
+
     def test_open_periodic_agree_without_couplings(self):
         a = ground_state(ChainSpec(n=6, j=0.0, jz=0.0, gamma=0.7))
         b = ground_state(ChainSpec(n=6, j=0.0, jz=0.0, gamma=0.7, boundary="periodic"))
@@ -248,6 +330,37 @@ class TestPhaseDiagram:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             phase_diagram([], [1e-5], n=4)
+
+    @pytest.mark.parametrize(
+        "xs,omegas,match",
+        [
+            ([1.0, math.nan], [1e-5], "x values"),
+            ([1.0, math.inf], [1e-5], "x values"),
+            ([-0.5, 1.0], [1e-5], "x values"),
+            ([1.0], [math.nan], "Omega/B values"),
+            ([1.0], [1e-5, math.inf], "Omega/B values"),
+            ([1.0], [0.0, 1e-5], "Omega/B values"),
+            ([1.0], [-1e-5], "Omega/B values"),
+        ],
+        ids=["x-nan", "x-inf", "x-negative", "omega-nan", "omega-inf", "omega-zero", "omega-negative"],
+    )
+    def test_rejects_bad_points(self, xs, omegas, match):
+        with pytest.raises(ValueError, match=match):
+            phase_diagram(xs, omegas, n=4)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_per_point_route(self, workers):
+        xs, omegas = [0.0, 3.0, 9.0], [1e-5, 1e-2, 3.0]
+        table = phase_diagram(xs, omegas, n=6, boundary="periodic", workers=workers)
+        expected = []
+        for x in xs:
+            mset = moments(x)
+            for omega in omegas:
+                c = chain_constants(mset, omega)
+                res = ground_state(ChainSpec(n=6, j=c.j, jz=c.jz, gamma=c.gamma, boundary="periodic"))
+                ratios = (c.jz / c.j, c.gamma / c.j) if c.j != 0 else (math.nan, math.nan)
+                expected.append((x, omega, *ratios, classify_phase(res, c)))
+        np.testing.assert_equal(table.rows, expected)
 
     def test_parallel_matches_serial(self):
         serial = phase_diagram([3.0, 7.0], [1e-5, 1e-4], n=6, workers=1)

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from pendular.cli import main
+
 CLI = [sys.executable, "-m", "pendular.cli"]
 
 
@@ -177,6 +179,47 @@ class TestPhaseDiagram:
         assert payload["schema_version"] == "phase_diagram.v1"
         assert payload["metadata"]["n"] == 4
         assert payload["metadata"]["thresholds"]["magnetization"] == 0.99
+
+
+class TestRejectedChainInputs:
+    """Bad scan points are usage errors (exit 2), caught before any solve."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phase-diagram", "--x-grid", "1,nan"],
+            ["phase-diagram", "--x-grid", "1,inf"],
+            ["phase-diagram", "--x-grid=-1,2"],
+            ["phase-diagram", "--omega-grid", "nan"],
+            ["phase-diagram", "--omega-grid", "1e-5,inf"],
+            ["phase-diagram", "--omega-grid", "0,1e-5"],
+            ["phase-diagram", "--omega-grid=-1e-5"],
+            ["chain-ed", "--x", "nan", "--omega", "1e-4"],
+            ["chain-ed", "--x=-1", "--omega", "1e-4"],
+            ["chain-ed", "--x", "6", "--omega", "inf"],
+            ["chain-ed", "--x", "6", "--omega", "nan"],
+        ],
+        ids=[
+            "phase-diagram-x-nan",
+            "phase-diagram-x-inf",
+            "phase-diagram-x-negative",
+            "phase-diagram-omega-nan",
+            "phase-diagram-omega-inf",
+            "phase-diagram-omega-zero",
+            "phase-diagram-omega-negative",
+            "chain-ed-x-nan",
+            "chain-ed-x-negative",
+            "chain-ed-omega-inf",
+            "chain-ed-omega-nan",
+        ],
+    )
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n", "4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
 
 class TestConvert:
