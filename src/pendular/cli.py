@@ -2,7 +2,8 @@
 
 Every subcommand is a thin wrapper over one library operation; output goes
 to --out (with a JSON run manifest written next to it) or stdout.  Exit
-codes: 0 success, 1 numeric failure, 2 usage error.
+codes: 0 success, 1 numeric failure, 2 usage error (including a --j-max
+too small for the requested field).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .chain import (
     phase_diagram,
 )
 from .fits import FIT_QUANTITIES, FitError, comparison_table
-from .moments import moment_curves, moments, stark_map
+from .moments import TruncationError, moment_curves, moments, stark_map
 from .pair import MAGIC_ANGLE, CouplingGeometry, coupling_surface, heisenberg_constants
 from .rotor import DEFAULT_J_MAX, EigensolverError
 from .tables import Table, render
@@ -68,6 +69,14 @@ def parse_grid(text: str) -> np.ndarray:
     if values.size == 0:
         raise ValueError("empty grid")
     return values
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts and basis cutoffs: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def parse_alpha(text: str) -> float:
@@ -131,13 +140,12 @@ def cmd_stark_map(args, parser) -> int:
 
 def cmd_moments(args, parser) -> int:
     try:
-        xs = parse_grid(args.x_grid)
+        curves = moment_curves(parse_grid(args.x_grid), args.j_max)
     except ValueError as exc:
         parser.error(str(exc))
-    curves = moment_curves(xs, args.j_max)
     rows = [
         tuple(float(curves[key][i]) for key in ("x", "e0", "e1", "delta_e", "c0", "c1", "cx"))
-        for i in range(len(xs))
+        for i in range(len(curves["x"]))
     ]
     table = Table(
         schema="moments.v1",
@@ -172,8 +180,11 @@ def _resolve_point(args, parser):
 def cmd_couplings(args, parser) -> int:
     x, omega, units = _resolve_point(args, parser)
     alpha = parse_alpha(args.alpha)
-    mset = moments(x, args.j_max)
-    hc = heisenberg_constants(mset, CouplingGeometry(omega=omega, alpha=alpha))
+    try:
+        mset = moments(x, args.j_max)
+        hc = heisenberg_constants(mset, CouplingGeometry(omega=omega, alpha=alpha))
+    except ValueError as exc:
+        parser.error(str(exc))
     jz_over_jy = hc.jz / hc.jy if hc.jy != 0 else math.nan
     gamma_over_jy = hc.gamma / hc.jy if hc.jy != 0 else math.nan
     table = Table(
@@ -200,9 +211,9 @@ def cmd_coupling_grid(args, parser) -> int:
     try:
         xs = parse_grid(args.x_grid)
         alphas = parse_alpha_grid(args.alpha_grid)
+        table = coupling_surface(xs, alphas, j_max=args.j_max)
     except ValueError as exc:
         parser.error(str(exc))
-    table = coupling_surface(xs, alphas, j_max=args.j_max)
     _write_output(args, table)
     return 0
 
@@ -325,7 +336,7 @@ def cmd_convert(args, parser) -> int:
 def _add_common(sub, presets: bool = False) -> None:
     sub.add_argument("--out", help="output file path (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--j-max", type=int, default=DEFAULT_J_MAX, help="basis truncation")
+    sub.add_argument("--j-max", type=positive_int, default=DEFAULT_J_MAX, help="basis truncation")
     if presets:
         sub.add_argument("--presets", help="molecule preset file (or PENDULAR_PRESETS env var)")
 
@@ -350,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=float, default=12.0)
     p.add_argument("--x-step", type=float, default=0.1)
     p.add_argument("--m", default="0,1", help="comma-separated m blocks")
-    p.add_argument("--n-states", type=int, default=4)
+    p.add_argument("--n-states", type=positive_int, default=4)
     _add_common(p)
     p.set_defaults(func=cmd_stark_map)
 
@@ -410,6 +421,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
+    except TruncationError as exc:
+        parser.error(str(exc))
     except NUMERIC_ERRORS as exc:
         sys.stderr.write(f"pendular: error: {exc}\n")
         return 1

@@ -12,27 +12,55 @@ Sign handling: eigenvector phases are arbitrary, and the raw rule used by
 :mod:`pendular.rotor` (largest coefficient positive) would flip the up state
 wherever its leading component changes identity (near x ~ 4.5).  Quantities
 built from two different states, cx in particular, must instead be smooth in
-x, so this module re-orients each state to make its J = 1 basis component
-positive.  That component stays well away from zero for x <= 12, which makes
-the choice stable; it leaves c0, c1 and every energy untouched and makes
-cx(x) a positive, continuous curve for x > 0.
+x, so this module orients the pair as follows.  |down> has its J = 1
+component positive: it is the lowest state of a tridiagonal matrix whose
+off-diagonal entries -x<J+1|cos|J> are all negative, so all its components
+share one sign and the anchor never vanishes.  |up> is then signed so that
+cx > 0; at x = 0, where cx is exactly 0, its J = 1 component is positive.
+Every coefficient of both states is therefore a continuous function of x on
+the whole accepted domain, cx(x) is positive for x > 0, and c0, c1 and the
+energies do not depend on the choice.
+
+All of this runs through one private kernel, :func:`_pseudo_spin`: two
+tridiagonal solves with the cached field-free constants of
+:func:`pendular.rotor.stark_constants`, and contractions with cached,
+read-only operator matrices.  It rejects a non-finite or negative x, and a
+basis too small for x (:class:`TruncationError`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from .rotor import DEFAULT_J_MAX, BasisSpec, operator_matrix, solve_pendular
+from .rotor import (
+    DEFAULT_J_MAX,
+    BasisSpec,
+    EigensolverError,
+    operator_matrix,
+    solve_pendular,
+    stark_constants,
+)
 from .tables import Table
 
 #: m blocks hosting the two pseudo-spin states.
 DOWN_M = 1
 UP_M = 0
+
+#: Largest last-basis amplitude |c_{j_max}| accepted for either state.
+TAIL_TOLERANCE = 1e-8
+
+
+class TruncationError(ValueError):
+    """A pseudo-spin state reaches the edge of the basis: j_max is too small for x."""
 
 
 @dataclass(frozen=True)
@@ -55,37 +83,88 @@ class MomentSet:
         return self.e1 - self.e0
 
 
-def _oriented_state(solution, j_tilde: int) -> NDArray[np.float64]:
-    """State vector re-signed so its J = 1 component is positive."""
-    vec = solution.state(j_tilde)
-    anchor = vec[solution.spec.index(1)]
-    if anchor < 0:
+class _PseudoSpin(NamedTuple):
+    """Oriented states, energies and moments of the pseudo-spin pair at one x."""
+
+    down: NDArray[np.float64]
+    up: NDArray[np.float64]
+    e0: float
+    e1: float
+    c0: np.float64
+    c1: np.float64
+    cx: np.float64
+
+
+@lru_cache(maxsize=None)
+def _operator(kind: str, m_bra: int, m_ket: int, j_max: int) -> NDArray[np.float64]:
+    """Read-only :func:`~pendular.rotor.operator_matrix`, built once per key."""
+    out = operator_matrix(kind, BasisSpec(m=m_bra, j_max=j_max), BasisSpec(m=m_ket, j_max=j_max))
+    out.setflags(write=False)
+    return out
+
+
+def _contract(kind: str, bra, m_bra: int, ket, m_ket: int, j_max: int) -> np.float64:
+    """<bra|op|ket>, evaluated as bra @ M @ ket.
+
+    The evaluation order is part of the output: an einsum over the same
+    vectors changes the last printed digit of c1 near its zero crossing.
+    """
+    return bra @ _operator(kind, m_bra, m_ket, j_max) @ ket
+
+
+def _block_state(x: float, m: int, level: int, j_max: int) -> tuple[float, NDArray[np.float64]]:
+    """Energy and J = 1-positive vector of one level of the m block.
+
+    Same full-spectrum tridiagonal solve as :func:`~pendular.rotor.solve_pendular`,
+    so energies and vectors are bit-identical to it.
+    """
+    diag, couplings = stark_constants(m, j_max)
+    try:
+        energies, vecs = eigh_tridiagonal(diag, -x * couplings)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
+        raise EigensolverError(
+            f"pendular eigensolve failed at x={x}, m={m}, j_max={j_max}"
+        ) from exc
+    vec = vecs[:, level]
+    if vec[1 - abs(m)] < 0:  # the J = 1 component
         vec = -vec
-    return vec
+    tail = abs(vec[-1])
+    if tail > TAIL_TOLERANCE:
+        raise TruncationError(
+            f"basis too small at x={x}, m={m}, j_max={j_max}: last-basis amplitude "
+            f"{tail:.2e} exceeds {TAIL_TOLERANCE:.0e}; raise j_max"
+        )
+    return float(energies[level]), vec
+
+
+def _pseudo_spin(x: float, j_max: int) -> _PseudoSpin:
+    """The pseudo-spin kernel; see the module docstring for the orientation."""
+    if not math.isfinite(x) or x < 0:
+        raise ValueError(f"reduced field must be finite and non-negative, got {x}")
+    e0, down = _block_state(x, DOWN_M, 0, j_max)
+    e1, up = _block_state(x, UP_M, 1, j_max)
+    cx = _contract("sin_theta_cos_phi", down, DOWN_M, up, UP_M, j_max)
+    if cx < 0:
+        up, cx = -up, -cx
+    c0 = _contract("cos_theta", down, DOWN_M, down, DOWN_M, j_max)
+    c1 = _contract("cos_theta", up, UP_M, up, UP_M, j_max)
+    return _PseudoSpin(down, up, e0, e1, c0, c1, cx)
 
 
 def pseudo_spin_states(
     x: float, j_max: int = DEFAULT_J_MAX
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], float, float]:
     """Oriented coefficient vectors and energies (down, up, e0, e1)."""
-    down_sol = solve_pendular(x, BasisSpec(m=DOWN_M, j_max=j_max))
-    up_sol = solve_pendular(x, BasisSpec(m=UP_M, j_max=j_max))
-    down = _oriented_state(down_sol, j_tilde=1)
-    up = _oriented_state(up_sol, j_tilde=1)
-    return down, up, down_sol.energy(1), up_sol.energy(1)
+    ps = _pseudo_spin(x, j_max)
+    return ps.down, ps.up, ps.e0, ps.e1
 
 
 def moments(x: float, j_max: int = DEFAULT_J_MAX) -> MomentSet:
     """Pseudo-spin energies and dipole moments at reduced field x."""
-    if x < 0:
-        raise ValueError(f"reduced field must be non-negative, got {x}")
-    down, up, e0, e1 = pseudo_spin_states(x, j_max)
-    spec_down = BasisSpec(m=DOWN_M, j_max=j_max)
-    spec_up = BasisSpec(m=UP_M, j_max=j_max)
-    c0 = float(down @ operator_matrix("cos_theta", spec_down, spec_down) @ down)
-    c1 = float(up @ operator_matrix("cos_theta", spec_up, spec_up) @ up)
-    cx = float(down @ operator_matrix("sin_theta_cos_phi", spec_down, spec_up) @ up)
-    return MomentSet(x=float(x), e0=e0, e1=e1, c0=c0, c1=c1, cx=cx)
+    ps = _pseudo_spin(x, j_max)
+    return MomentSet(
+        x=float(x), e0=ps.e0, e1=ps.e1, c0=float(ps.c0), c1=float(ps.c1), cx=float(ps.cx)
+    )
 
 
 def moment_curves(

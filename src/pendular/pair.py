@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .moments import DOWN_M, UP_M, MomentSet, moments, pseudo_spin_states
-from .rotor import DEFAULT_J_MAX, BasisSpec, operator_matrix
+from .moments import DOWN_M, UP_M, MomentSet, _contract, _pseudo_spin, moments
+from .rotor import DEFAULT_J_MAX
 from .tables import Table
 
 #: Array tilt at which the zz coupling vanishes exactly (3 cos^2 = 1).
@@ -53,8 +53,8 @@ class CouplingGeometry:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.omega < 0:
-            raise ValueError(f"omega must be non-negative, got {self.omega}")
+        if not math.isfinite(self.omega) or self.omega < 0:
+            raise ValueError(f"omega must be finite and non-negative, got {self.omega}")
         if not 0.0 <= self.alpha <= math.pi / 2:
             raise ValueError(f"alpha must lie in [0, pi/2], got {self.alpha}")
 
@@ -113,16 +113,11 @@ def pseudo_spin_operators(
     Off-block elements vanish by exact m selection rules (cos keeps m;
     the sin operators change it by one), not by approximation.
     """
-    down, up, _, _ = pseudo_spin_states(x, j_max)
-    spec_d = BasisSpec(m=DOWN_M, j_max=j_max)
-    spec_u = BasisSpec(m=UP_M, j_max=j_max)
-    c0 = down @ operator_matrix("cos_theta", spec_d, spec_d) @ down
-    c1 = up @ operator_matrix("cos_theta", spec_u, spec_u) @ up
-    cx = down @ operator_matrix("sin_theta_cos_phi", spec_d, spec_u) @ up
+    ps = _pseudo_spin(x, j_max)
     # <down|ss|up> = i * K_du; Hermiticity gives <up|ss|down> = -i * K_du.
-    k_du = down @ operator_matrix("sin_theta_sin_phi", spec_d, spec_u) @ up
-    m_cos = np.array([[c0, 0.0], [0.0, c1]])
-    m_sc = np.array([[0.0, cx], [cx, 0.0]])
+    k_du = _contract("sin_theta_sin_phi", ps.down, DOWN_M, ps.up, UP_M, j_max)
+    m_cos = np.array([[ps.c0, 0.0], [0.0, ps.c1]])
+    m_sc = np.array([[0.0, ps.cx], [ps.cx, 0.0]])
     m_ss = np.array([[0.0, 1.0j * k_du], [-1.0j * k_du, 0.0]])
     return m_cos, m_sc, m_ss
 

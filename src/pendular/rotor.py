@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -124,15 +125,28 @@ def _lower_to_lower(j: int, m: int) -> float:
     return -math.sqrt((j + m) * (j + m - 1) / ((2 * j - 1) * (2 * j + 1)))
 
 
+@lru_cache(maxsize=None)
+def stark_constants(m: int, j_max: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Field-free diagonal J(J+1) and unit cos couplings of one m block.
+
+    The Stark tridiagonal at field x is (diag, -x * couplings).  Both arrays
+    are cached per (m, j_max) and read-only.
+    """
+    js = BasisSpec(m=m, j_max=j_max).j_values
+    diag = (js * (js + 1)).astype(np.float64)
+    couplings = np.array([_cos_coupling(int(j), m) for j in js[:-1]])
+    diag.setflags(write=False)
+    couplings.setflags(write=False)
+    return diag, couplings
+
+
 def _tridiagonal_elements(
     x: float, spec: BasisSpec
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     if x < 0:
         raise ValueError(f"reduced field must be non-negative, got {x}")
-    js = spec.j_values
-    diag = (js * (js + 1)).astype(np.float64)
-    off = -x * np.array([_cos_coupling(int(j), spec.m) for j in js[:-1]])
-    return diag, off
+    diag, couplings = stark_constants(spec.m, spec.j_max)
+    return diag, -x * couplings
 
 
 def build_stark_hamiltonian(x: float, spec: BasisSpec) -> NDArray[np.float64]:

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: matrix
 elements come from brute-force spherical quadrature, derivatives from
-central differences, and XX-chain energies from the free-fermion mapping.
+central differences, XX-chain energies from the free-fermion mapping, and
+the pseudo-spin moments from the public full-spectrum solver.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import sph_harm_y
 
-from pendular.rotor import BasisSpec
+from pendular.rotor import BasisSpec, operator_matrix, solve_pendular
 
 
 def _grids(n_theta: int = 64, n_phi: int = 64):
@@ -46,6 +47,36 @@ def quad_operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) ->
         for c, jk in enumerate(spec_ket.j_values):
             out[r, c] = quad_element(kind, int(jb), spec_bra.m, int(jk), spec_ket.m)
     return out
+
+
+def _j1_positive_state(x: float, m: int, j_tilde: int, j_max: int) -> np.ndarray:
+    """Pendular state re-signed so that its J = 1 component is positive."""
+    sol = solve_pendular(x, BasisSpec(m=m, j_max=j_max))
+    vec = sol.state(j_tilde)
+    if vec[sol.spec.index(1)] < 0:
+        vec = -vec
+    return vec
+
+
+def public_route_elements(x: float, j_max: int = 30) -> dict[str, float]:
+    """e0, e1 and the four pseudo-spin matrix elements from public rotor calls.
+
+    Each state is solved with :func:`solve_pendular` over its full spectrum,
+    both states carry the J = 1-positive sign, and each operator matrix is
+    rebuilt with :func:`operator_matrix`.  On 0 < x <= 12 this sign already
+    makes cx positive.  ``k_du`` is <down|sin(theta)sin(phi)|up> / i.
+    """
+    spec_d, spec_u = BasisSpec(m=1, j_max=j_max), BasisSpec(m=0, j_max=j_max)
+    down = _j1_positive_state(x, 1, 1, j_max)
+    up = _j1_positive_state(x, 0, 1, j_max)
+    return {
+        "e0": solve_pendular(x, spec_d).energy(1),
+        "e1": solve_pendular(x, spec_u).energy(1),
+        "c0": down @ operator_matrix("cos_theta", spec_d, spec_d) @ down,
+        "c1": up @ operator_matrix("cos_theta", spec_u, spec_u) @ up,
+        "cx": down @ operator_matrix("sin_theta_cos_phi", spec_d, spec_u) @ up,
+        "k_du": down @ operator_matrix("sin_theta_sin_phi", spec_d, spec_u) @ up,
+    }
 
 
 def central_difference(f, x: float, h: float = 1e-4) -> float:

@@ -222,6 +222,57 @@ class TestRejectedChainInputs:
         assert "error:" in captured.err
 
 
+class TestRejectedMomentInputs:
+    """Non-finite fields and couplings, bad cutoffs and too small a basis are usage errors (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["couplings", "--x", "3", "--omega", "nan"],
+            ["couplings", "--x", "3", "--omega", "inf"],
+            ["couplings", "--x", "nan", "--omega", "1e-5"],
+            ["couplings", "--x", "inf", "--omega", "1e-5"],
+            ["moments", "--x-grid", "1,nan"],
+            ["coupling-grid", "--x-grid", "inf", "--alpha-grid", "0"],
+            ["moments", "--j-max", "0"],
+            ["couplings", "--x", "3", "--omega", "1e-5", "--j-max", "0"],
+            ["fit", "--quantity", "gap", "--j-max", "-3"],
+            ["stark-map", "--n-states", "0"],
+            ["couplings", "--x", "1", "--omega", "1e-5", "--j-max", "1"],
+            ["moments", "--x-grid", "0,12", "--j-max", "10"],
+            ["fit", "--quantity", "gap", "--x-max", "1", "--j-max", "1"],
+        ],
+        ids=[
+            "couplings-omega-nan",
+            "couplings-omega-inf",
+            "couplings-x-nan",
+            "couplings-x-inf",
+            "moments-x-nan",
+            "coupling-grid-x-inf",
+            "moments-j-max-zero",
+            "couplings-j-max-zero",
+            "fit-j-max-negative",
+            "stark-map-n-states-zero",
+            "couplings-truncated-basis",
+            "moments-truncated-basis",
+            "fit-truncated-basis",
+        ],
+    )
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_truncation_message_names_the_point(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["couplings", "--x", "1", "--omega", "1e-5", "--j-max", "1"])
+        err = capsys.readouterr().err
+        assert "x=1.0" in err and "m=1" in err and "j_max=1" in err
+
+
 class TestConvert:
     def test_sro_anchor(self):
         proc = run_cli("convert", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500")

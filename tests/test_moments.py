@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import public_route_elements
 from pendular.moments import (
     MomentSet,
+    TruncationError,
+    _operator,
     c1_zero_crossing,
     coefficient_map,
     interpolated_root,
@@ -12,6 +19,11 @@ from pendular.moments import (
     stark_map,
     up_leading_swap,
 )
+from pendular.pair import pseudo_spin_operators
+from pendular.rotor import stark_constants
+
+#: Every 7th point of the standard 0:12:0.01 grid, both ends included.
+STRIDED_GRID = [*np.round(np.arange(0.0, 12.0, 0.07), 12), 12.0]
 
 
 class TestMoments:
@@ -196,3 +208,138 @@ class TestInterpolatedRoot:
         xs = np.linspace(0, 1, 5)
         with pytest.raises(ValueError):
             interpolated_root(xs, xs + 1.0)
+
+
+class TestKernelMatchesPublicRoute:
+    """The cached kernel reproduces the full-spectrum public route bit for bit."""
+
+    def test_moment_fields_equal(self):
+        fields = ("e0", "e1", "c0", "c1", "cx")
+        mismatches = []
+        for x in STRIDED_GRID:
+            m = moments(float(x))
+            ref = public_route_elements(float(x))
+            mismatches += [(x, f) for f in fields if getattr(m, f) != ref[f]]
+        assert mismatches == []
+
+    def test_pseudo_spin_operators_equal(self):
+        mismatches = []
+        for x in STRIDED_GRID[::3]:
+            ref = public_route_elements(float(x))
+            c0, c1, cx, k = ref["c0"], ref["c1"], ref["cx"], ref["k_du"]
+            expected = (
+                np.array([[c0, 0.0], [0.0, c1]]),
+                np.array([[0.0, cx], [cx, 0.0]]),
+                np.array([[0.0, 1.0j * k], [-1.0j * k, 0.0]]),
+            )
+            got = pseudo_spin_operators(float(x))
+            mismatches += [(x, i) for i in range(3) if not np.array_equal(got[i], expected[i])]
+        assert mismatches == []
+
+    @pytest.mark.parametrize(
+        "kind, m_bra, m_ket",
+        [("cos_theta", 1, 1), ("cos_theta", 0, 0), ("sin_theta_cos_phi", 1, 0), ("sin_theta_sin_phi", 1, 0)],
+    )
+    def test_cached_operator_is_read_only_and_shared(self, kind, m_bra, m_ket):
+        moments(3.0)
+        op = _operator(kind, m_bra, m_ket, 30)
+        assert op is _operator(kind, m_bra, m_ket, 30)
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_cached_tridiagonal_constants_are_read_only(self, m):
+        for arr in stark_constants(m, 30):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+class TestOrientationBeyondTwelve:
+    def test_cx_keeps_its_sign_across_up_anchor_zero(self):
+        # The up state's J = 1 component passes through zero near x = 14.55;
+        # cx must not flip there.
+        a, b = moments(14.5), moments(14.6)
+        assert a.cx > 0 and b.cx > 0
+        assert abs(a.cx - b.cx) < 1e-3
+
+    def test_up_coefficients_continuous_across_anchor_zero(self):
+        xs = np.round(np.arange(14.3, 14.81, 0.05), 12)
+        table = coefficient_map(xs, state="up", j_max=30)
+        for j in (0, 1, 2):
+            col = np.array([row[2] for row in table.rows if row[1] == j])
+            assert np.all(np.abs(np.diff(col)) < 0.02)
+
+    def test_zero_field_keeps_j1_anchor(self):
+        down, up, _, _ = pseudo_spin_states(0.0)
+        assert down[0] == 1.0
+        assert up[1] == 1.0
+        assert moments(0.0).cx == 0.0
+
+
+class TestTruncationGuard:
+    @pytest.mark.parametrize("x, j_max", [(1.0, 1), (12.0, 10), (0.0, 1)])
+    def test_small_basis_rejected(self, x, j_max):
+        with pytest.raises(TruncationError) as exc:
+            moments(x, j_max=j_max)
+        message = str(exc.value)
+        assert f"x={x}" in message and "m=" in message and f"j_max={j_max}" in message
+
+    def test_guard_is_a_value_error(self):
+        assert issubclass(TruncationError, ValueError)
+
+    @pytest.mark.parametrize("x, j_max", [(12.0, 20), (100.0, 30), (400.0, 30)])
+    def test_adequate_basis_accepted(self, x, j_max):
+        moments(x, j_max=j_max)
+
+    def test_grid_scan_rejected(self):
+        with pytest.raises(TruncationError):
+            moment_curves([0.0, 6.0, 12.0], j_max=10)
+
+
+class TestRejectedFields:
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -0.5])
+    def test_non_finite_or_negative(self, x):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            moments(x)
+        with pytest.raises(ValueError):
+            pseudo_spin_states(x)
+        with pytest.raises(ValueError):
+            pseudo_spin_operators(x)
+
+    def test_grid_with_nan(self):
+        with pytest.raises(ValueError):
+            moment_curves([1.0, math.nan])
+
+
+#: Accepted domain of the property tests.  Below about 1e-7 the gap 3x^2/20
+#: falls under the resolution of energies near 2 and e0 == e1 in floating point.
+FIELDS = st.floats(min_value=1e-6, max_value=100.0, allow_nan=False)
+
+
+class TestMomentProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    def test_moments_bounded(self, x):
+        m = moments(x)
+        assert abs(m.c0) <= 1 and abs(m.c1) <= 1 and abs(m.cx) <= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=FIELDS)
+    def test_levels_ordered(self, x):
+        m = moments(x)
+        assert m.e0 < m.e1
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=FIELDS)
+    def test_cx_positive_and_continuous(self, x):
+        a, b = moments(x), moments(x + 0.01)
+        assert a.cx > 0 and b.cx > 0
+        # |dcx/dx| <= 0.11 on (0, 100]; a sign flip would jump by ~2 cx.
+        assert abs(b.cx - a.cx) <= 2e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    def test_basis_converged(self, x):
+        a, b = moments(x, j_max=30), moments(x, j_max=60)
+        for field in ("e0", "e1", "c0", "c1", "cx"):
+            assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-10)

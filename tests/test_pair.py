@@ -34,6 +34,11 @@ class TestGeometry:
         with pytest.raises(ValueError):
             CouplingGeometry(omega=-1e-3, alpha=0.0)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf])
+    def test_rejects_non_finite_omega(self, omega):
+        with pytest.raises(ValueError, match="finite"):
+            CouplingGeometry(omega=omega)
+
     def test_rejects_out_of_range_alpha(self):
         with pytest.raises(ValueError):
             CouplingGeometry(omega=1.0, alpha=-0.1)
