@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import least_squares
 
 from .moments import moment_curves
 from .rotor import DEFAULT_J_MAX
@@ -118,6 +117,9 @@ def fit_moment(xs, ys, initial=None, max_nfev: int = 20000) -> SigmoidFit:
         raise ValueError("moment samples must be two equal-length 1-D arrays")
     if xs.size < 50:
         raise ValueError(f"need at least 50 moment samples, got {xs.size}")
+    # Imported here so that importing the package does not load scipy.optimize.
+    from scipy.optimize import least_squares
+
     if initial is None:
         initial = REFERENCE_MOMENT_PARAMS["c0"]
     lower = [-np.inf] * 5 + [1e-8, 1e-8]  # sigmoid widths must stay positive

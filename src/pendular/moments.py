@@ -22,32 +22,27 @@ the whole accepted domain, cx(x) is positive for x > 0, and c0, c1 and the
 energies do not depend on the choice.
 
 All of this runs through one private kernel, :func:`_pseudo_spin`: two
-tridiagonal solves with the cached field-free constants of
-:func:`pendular.rotor.stark_constants`, and contractions with cached,
+tridiagonal solves through the same LAPACK call as
+:func:`pendular.rotor.solve_pendular`, and contractions with cached,
 read-only operator matrices.  It rejects a non-finite or negative x, and a
 basis too small for x (:class:`TruncationError`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .rotor import (
     DEFAULT_J_MAX,
     BasisSpec,
-    EigensolverError,
+    _stark_eigh,
     operator_matrix,
     solve_pendular,
-    stark_constants,
 )
 from .tables import Table
 
@@ -118,13 +113,7 @@ def _block_state(x: float, m: int, level: int, j_max: int) -> tuple[float, NDArr
     Same full-spectrum tridiagonal solve as :func:`~pendular.rotor.solve_pendular`,
     so energies and vectors are bit-identical to it.
     """
-    diag, couplings = stark_constants(m, j_max)
-    try:
-        energies, vecs = eigh_tridiagonal(diag, -x * couplings)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
-        raise EigensolverError(
-            f"pendular eigensolve failed at x={x}, m={m}, j_max={j_max}"
-        ) from exc
+    energies, vecs = _stark_eigh(x, m, j_max)
     vec = vecs[:, level]
     if vec[1 - abs(m)] < 0:  # the J = 1 component
         vec = -vec
@@ -139,8 +128,6 @@ def _block_state(x: float, m: int, level: int, j_max: int) -> tuple[float, NDArr
 
 def _pseudo_spin(x: float, j_max: int) -> _PseudoSpin:
     """The pseudo-spin kernel; see the module docstring for the orientation."""
-    if not math.isfinite(x) or x < 0:
-        raise ValueError(f"reduced field must be finite and non-negative, got {x}")
     e0, down = _block_state(x, DOWN_M, 0, j_max)
     e1, up = _block_state(x, UP_M, 1, j_max)
     cx = _contract("sin_theta_cos_phi", down, DOWN_M, up, UP_M, j_max)
@@ -251,6 +238,10 @@ def interpolated_root(xs: NDArray[np.float64], ys: NDArray[np.float64]) -> float
         return float(xs[exact[0]])
     if flips.size == 0:
         raise ValueError("no sign change in sampled data")
+    # Imported here so that importing the package does not load scipy.interpolate/optimize.
+    from scipy.interpolate import CubicSpline
+    from scipy.optimize import brentq
+
     i = int(flips[0])
     spline = CubicSpline(xs, ys)
     return float(brentq(spline, xs[i], xs[i + 1]))

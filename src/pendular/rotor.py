@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 
 #: Basis truncation used throughout unless a caller overrides it.  Converges
 #: all quantities for reduced fields x <= 12 far beyond plotting precision.
@@ -141,12 +141,30 @@ def stark_constants(m: int, j_max: int) -> tuple[NDArray[np.float64], NDArray[np
 
 
 def _tridiagonal_elements(
-    x: float, spec: BasisSpec
+    x: float, m: int, j_max: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    if x < 0:
-        raise ValueError(f"reduced field must be non-negative, got {x}")
-    diag, couplings = stark_constants(spec.m, spec.j_max)
+    if not math.isfinite(x) or x < 0:
+        raise ValueError(f"reduced field must be finite and non-negative, got {x}")
+    diag, couplings = stark_constants(m, j_max)
     return diag, -x * couplings
+
+
+def _stark_eigh(x: float, m: int, j_max: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Ascending energies and eigenvector columns of the m block at field x.
+
+    Calls LAPACK ``dstevd`` directly.  It is the routine ``eigh_tridiagonal``
+    runs for a full solve, so results are bit-identical, but that wrapper's
+    argument checks add about half the solve's own time.
+    """
+    diag, off = _tridiagonal_elements(x, m, j_max)
+    if diag.size == 1:  # dstevd rejects an empty off-diagonal
+        return diag.copy(), np.ones((1, 1))
+    energies, vecs, info = dstevd(diag, off)
+    if info != 0:
+        raise EigensolverError(
+            f"pendular eigensolve failed at x={x}, m={m}, j_max={j_max} (dstevd info={info})"
+        )
+    return energies, vecs
 
 
 def build_stark_hamiltonian(x: float, spec: BasisSpec) -> NDArray[np.float64]:
@@ -155,7 +173,7 @@ def build_stark_hamiltonian(x: float, spec: BasisSpec) -> NDArray[np.float64]:
     Returns the full symmetric tridiagonal matrix; diagonal J(J+1),
     first off-diagonals -x*<J+1,m|cos(theta)|J,m>.
     """
-    diag, off = _tridiagonal_elements(x, spec)
+    diag, off = _tridiagonal_elements(x, spec.m, spec.j_max)
     h = np.diag(diag)
     if off.size:
         idx = np.arange(off.size)
@@ -166,13 +184,7 @@ def build_stark_hamiltonian(x: float, spec: BasisSpec) -> NDArray[np.float64]:
 
 def solve_pendular(x: float, spec: BasisSpec) -> PendularSolution:
     """Diagonalize one m block of the Stark Hamiltonian at reduced field x."""
-    diag, off = _tridiagonal_elements(x, spec)
-    try:
-        energies, vecs = eigh_tridiagonal(diag, off)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
-        raise EigensolverError(
-            f"pendular eigensolve failed at x={x}, m={spec.m}, j_max={spec.j_max}"
-        ) from exc
+    energies, vecs = _stark_eigh(x, spec.m, spec.j_max)
     # Fix the arbitrary eigenvector signs: largest-magnitude entry positive.
     dominant = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[dominant, np.arange(vecs.shape[1])])

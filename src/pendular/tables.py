@@ -12,7 +12,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,3 @@ def render(table: Table, fmt: str, metadata: dict | None = None) -> str:
     if fmt == "json":
         return render_json(table, metadata)
     raise ValueError(f"unknown output format {fmt!r}")
-
-
-def concat(tables: Iterable[Table]) -> Table:
-    """Concatenate tables sharing one schema."""
-    tables = list(tables)
-    first = tables[0]
-    rows: list[tuple] = []
-    for t in tables:
-        if t.schema != first.schema or t.columns != first.columns:
-            raise ValueError("cannot concatenate tables with different schemas")
-        rows.extend(t.rows)
-    return Table(schema=first.schema, columns=first.columns, rows=rows)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import sph_harm_y
 
-from pendular.rotor import BasisSpec, operator_matrix, solve_pendular
+from pendular.rotor import BasisSpec, build_stark_hamiltonian, operator_matrix, solve_pendular
 
 
 def _grids(n_theta: int = 64, n_phi: int = 64):
@@ -47,6 +48,16 @@ def quad_operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) ->
         for c, jk in enumerate(spec_ket.j_values):
             out[r, c] = quad_element(kind, int(jb), spec_bra.m, int(jk), spec_ket.m)
     return out
+
+
+def checked_tridiagonal_solve(x: float, m: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and eigenvectors of one m block through scipy's ``eigh_tridiagonal``.
+
+    The diagonal and off-diagonal are read off the public dense Hamiltonian,
+    and scipy's wrapper validates them before it calls LAPACK.
+    """
+    h = build_stark_hamiltonian(x, BasisSpec(m=m, j_max=j_max))
+    return eigh_tridiagonal(np.diag(h), np.diag(h, 1))
 
 
 def _j1_positive_state(x: float, m: int, j_tilde: int, j_max: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -12,10 +13,31 @@ from pendular.cli import main
 CLI = [sys.executable, "-m", "pendular.cli"]
 
 
-def run_cli(*args, env=None):
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, timeout=600, env=env
-    )
+def run_cli(*args):
+    """Run the CLI as a separate ``python -m pendular.cli`` process."""
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=600)
+
+
+class Run(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture()
+def cli(capsys):
+    """Run the CLI in-process through ``main(argv)``, with the exit code a process would get."""
+
+    def run(*args):
+        capsys.readouterr()  # drop output of earlier calls in the same test
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return Run(code, out, err)
+
+    return run
 
 
 def parse_csv(text):
@@ -26,8 +48,8 @@ def parse_csv(text):
 
 
 class TestStarkMap:
-    def test_default_run_contains_origin_row(self):
-        proc = run_cli("stark-map")
+    def test_default_run_contains_origin_row(self, cli):
+        proc = cli("stark-map")
         assert proc.returncode == 0
         rows = parse_csv(proc.stdout)
         origin = [
@@ -38,8 +60,8 @@ class TestStarkMap:
         assert len(origin) == 1
         assert float(origin[0]["energy_over_b"]) == 0.0
 
-    def test_gap_between_pseudo_spin_levels_reaches_3_7(self):
-        proc = run_cli("stark-map", "--x-step", "0.5")
+    def test_gap_between_pseudo_spin_levels_reaches_3_7(self, cli):
+        proc = cli("stark-map", "--x-step", "0.5")
         rows = parse_csv(proc.stdout)
         by_key = {(r["x"], r["m"], r["j_tilde"]): float(r["energy_over_b"]) for r in rows}
         gaps = [
@@ -48,8 +70,8 @@ class TestStarkMap:
         ]
         assert max(gaps) == pytest.approx(3.7, abs=0.1)
 
-    def test_zero_step_is_usage_error(self):
-        proc = run_cli("stark-map", "--x-step", "0")
+    def test_zero_step_is_usage_error(self, cli):
+        proc = cli("stark-map", "--x-step", "0")
         assert proc.returncode == 2
 
     def test_unknown_flag_is_usage_error(self):
@@ -58,38 +80,38 @@ class TestStarkMap:
 
 
 class TestMoments:
-    def test_grid_syntax_and_determinism(self):
-        a = run_cli("moments", "--x-grid", "0:2:0.5")
-        b = run_cli("moments", "--x-grid", "0:2:0.5")
+    def test_grid_syntax_and_determinism(self, cli):
+        a = cli("moments", "--x-grid", "0:2:0.5")
+        b = cli("moments", "--x-grid", "0:2:0.5")
         assert a.returncode == 0 and a.stdout == b.stdout
         rows = parse_csv(a.stdout)
         assert len(rows) == 5
         assert float(rows[0]["cx"]) == 0.0
 
-    def test_comma_grid(self):
-        proc = run_cli("moments", "--x-grid", "1,2,3")
+    def test_comma_grid(self, cli):
+        proc = cli("moments", "--x-grid", "1,2,3")
         assert proc.returncode == 0
         assert len(parse_csv(proc.stdout)) == 3
 
-    def test_bad_grid_usage_error(self):
-        proc = run_cli("moments", "--x-grid", "5:1:0.5")
+    def test_bad_grid_usage_error(self, cli):
+        proc = cli("moments", "--x-grid", "5:1:0.5")
         assert proc.returncode == 2
 
 
 class TestCouplings:
-    def test_critical_ratio_at_6_1(self):
-        proc = run_cli("couplings", "--x", "6.1", "--omega", "1e-4", "--alpha", "0")
+    def test_critical_ratio_at_6_1(self, cli):
+        proc = cli("couplings", "--x", "6.1", "--omega", "1e-4", "--alpha", "0")
         assert proc.returncode == 0
         row = parse_csv(proc.stdout)[0]
         assert float(row["jz_over_jy"]) == pytest.approx(-1.0, abs=0.05)
 
-    def test_magic_angle_keyword(self):
-        proc = run_cli("couplings", "--x", "5", "--omega", "1e-3", "--alpha", "magic")
+    def test_magic_angle_keyword(self, cli):
+        proc = cli("couplings", "--x", "5", "--omega", "1e-3", "--alpha", "magic")
         row = parse_csv(proc.stdout)[0]
         assert abs(float(row["jz"])) <= 1e-12 * 1e-3
 
-    def test_molecule_route_adds_units(self):
-        proc = run_cli(
+    def test_molecule_route_adds_units(self, cli):
+        proc = cli(
             "couplings",
             "--molecule",
             "SrO",
@@ -106,35 +128,35 @@ class TestCouplings:
         x = payload["rows"][0][0]
         assert x == pytest.approx(6.1, rel=0.02)
 
-    def test_missing_point_flags_usage_error(self):
-        proc = run_cli("couplings", "--x", "2.0")
+    def test_missing_point_flags_usage_error(self, cli):
+        proc = cli("couplings", "--x", "2.0")
         assert proc.returncode == 2
 
 
 class TestFit:
-    def test_gap_fit_reports_r_squared(self):
-        proc = run_cli("fit", "--quantity", "gap", "--x-step", "0.1", "--format", "json")
+    def test_gap_fit_reports_r_squared(self, cli):
+        proc = cli("fit", "--quantity", "gap", "--x-step", "0.1", "--format", "json")
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["metadata"]["fit"]["r_squared"] >= 0.9999
         assert payload["columns"] == ["x", "computed", "reference", "refit"]
 
-    def test_cx_fit_table_has_both_readings(self):
-        proc = run_cli("fit", "--quantity", "cx", "--x-step", "0.1")
+    def test_cx_fit_table_has_both_readings(self, cli):
+        proc = cli("fit", "--quantity", "cx", "--x-step", "0.1")
         assert proc.returncode == 0
         rows = parse_csv(proc.stdout)
         assert "reference_alt" in rows[0]
         # fit parameters are reported on stderr in CSV mode
         assert "r_squared" in proc.stderr
 
-    def test_unknown_quantity_usage_error(self):
-        proc = run_cli("fit", "--quantity", "c9")
+    def test_unknown_quantity_usage_error(self, cli):
+        proc = cli("fit", "--quantity", "c9")
         assert proc.returncode == 2
 
 
 class TestChainEd:
-    def test_weak_coupling_point(self):
-        proc = run_cli("chain-ed", "--n", "8", "--x", "6", "--omega", "1e-4")
+    def test_weak_coupling_point(self, cli):
+        proc = cli("chain-ed", "--n", "8", "--x", "6", "--omega", "1e-4")
         assert proc.returncode == 0
         row = parse_csv(proc.stdout)[0]
         assert row["phase"] == "ferromagnetic"
@@ -143,8 +165,8 @@ class TestChainEd:
 
 
 class TestPhaseDiagram:
-    def test_weak_coupling_region_all_ferromagnetic(self):
-        proc = run_cli(
+    def test_weak_coupling_region_all_ferromagnetic(self, cli):
+        proc = cli(
             "phase-diagram",
             "--x-grid",
             "2,6,10",
@@ -161,8 +183,8 @@ class TestPhaseDiagram:
         assert all(r["phase"] == "ferromagnetic" for r in rows)
         assert all(float(r["gamma_over_j"]) > 1e4 for r in rows)
 
-    def test_json_metadata(self):
-        proc = run_cli(
+    def test_json_metadata(self, cli):
+        proc = cli(
             "phase-diagram",
             "--x-grid",
             "4",
@@ -274,8 +296,8 @@ class TestRejectedMomentInputs:
 
 
 class TestConvert:
-    def test_sro_anchor(self):
-        proc = run_cli("convert", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500")
+    def test_sro_anchor(self, cli):
+        proc = cli("convert", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500")
         assert proc.returncode == 0
         row = parse_csv(proc.stdout)[0]
         assert float(row["x"]) == pytest.approx(6.1, rel=0.02)
@@ -286,26 +308,24 @@ class TestConvert:
         assert proc.returncode == 1
         assert "available" in proc.stderr
 
-    def test_requires_some_quantity(self):
-        proc = run_cli("convert", "--molecule", "SrO")
+    def test_requires_some_quantity(self, cli):
+        proc = cli("convert", "--molecule", "SrO")
         assert proc.returncode == 2
 
-    def test_custom_presets_via_env(self, tmp_path):
+    def test_custom_presets_via_env(self, cli, tmp_path, monkeypatch):
         presets = tmp_path / "p.ini"
         presets.write_text("[KCl]\nmu_debye = 10.27\nb_cm1 = 0.1286\n")
-        import os
-
-        env = dict(os.environ, PENDULAR_PRESETS=str(presets))
-        proc = run_cli("convert", "--molecule", "KCl", "--epsilon", "1.0", env=env)
+        monkeypatch.setenv("PENDULAR_PRESETS", str(presets))
+        proc = cli("convert", "--molecule", "KCl", "--epsilon", "1.0")
         assert proc.returncode == 0
         row = parse_csv(proc.stdout)[0]
         assert float(row["mu_debye"]) == pytest.approx(10.27)
 
 
 class TestManifest:
-    def test_output_file_and_manifest(self, tmp_path):
+    def test_output_file_and_manifest(self, cli, tmp_path):
         out = tmp_path / "moments.csv"
-        proc = run_cli("moments", "--x-grid", "0:1:0.5", "--out", str(out))
+        proc = cli("moments", "--x-grid", "0:1:0.5", "--out", str(out))
         assert proc.returncode == 0
         data = out.read_bytes()
         manifest = json.loads((tmp_path / "moments.csv.manifest.json").read_text())
@@ -315,10 +335,10 @@ class TestManifest:
         assert entry["bytes"] == len(data)
         assert manifest["parameters"]["x_grid"] == "0:1:0.5"
 
-    def test_rerun_produces_identical_data(self, tmp_path):
+    def test_rerun_produces_identical_data(self, cli, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli("moments", "--x-grid", "0:1:0.5", "--out", str(out1))
-        run_cli("moments", "--x-grid", "0:1:0.5", "--out", str(out2))
+        cli("moments", "--x-grid", "0:1:0.5", "--out", str(out1))
+        cli("moments", "--x-grid", "0:1:0.5", "--out", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -326,3 +346,20 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "pendular" in proc.stdout
+
+
+def test_entry_point_payload_equals_in_process_run(cli):
+    proc = run_cli("moments", "--x-grid", "0:2:0.5")
+    assert proc.returncode == 0
+    assert proc.stdout == cli("moments", "--x-grid", "0:2:0.5").stdout
+
+
+def test_import_skips_fit_and_root_finding_modules():
+    # Only `fit` and the crossing helpers need them, and they import them on use.
+    probe = (
+        "import sys, pendular.cli; "
+        "print(' '.join(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from pendular import rotor
+from pendular.moments import moments
 from pendular.rotor import (
     BasisSpec,
+    EigensolverError,
+    _stark_eigh,
     build_stark_hamiltonian,
     operator_matrix,
     solve_pendular,
 )
 
-from oracles import central_difference, quad_operator_matrix
+from oracles import central_difference, checked_tridiagonal_solve, quad_operator_matrix
 
 
 class TestStarkHamiltonian:
@@ -33,6 +37,13 @@ class TestStarkHamiltonian:
     def test_rejects_negative_field(self):
         with pytest.raises(ValueError):
             build_stark_hamiltonian(-0.1, BasisSpec(m=0, j_max=3))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_non_finite_field(self, x):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            build_stark_hamiltonian(x, BasisSpec(m=0, j_max=3))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            solve_pendular(x, BasisSpec(m=0, j_max=3))
 
     def test_rejects_too_small_j_max(self):
         with pytest.raises(ValueError):
@@ -115,6 +126,32 @@ class TestSolvePendular:
         small = solve_pendular(x, BasisSpec(m=m, j_max=20)).energies[:4]
         large = solve_pendular(x, BasisSpec(m=m, j_max=30)).energies[:4]
         assert np.abs(small - large).max() <= 1e-10
+
+
+class TestDirectTridiagonalSolve:
+    """The direct LAPACK solve gives scipy's checked result bit for bit."""
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_equals_eigh_tridiagonal(self, m):
+        for x in np.round(np.arange(0.0, 12.0 + 0.005, 0.01), 12):
+            energies, vecs = _stark_eigh(float(x), m, 30)
+            ref_energies, ref_vecs = checked_tridiagonal_solve(float(x), m, 30)
+            assert np.array_equal(energies, ref_energies)
+            assert np.array_equal(vecs, ref_vecs)
+
+    def test_single_level_block(self):
+        energies, vecs = _stark_eigh(1.0, 1, 1)
+        ref_energies, ref_vecs = checked_tridiagonal_solve(1.0, 1, 1)
+        assert np.array_equal(energies, ref_energies) and np.array_equal(vecs, ref_vecs)
+        energies[0] = -1.0  # the caller owns the result, not the cached diagonal
+        assert _stark_eigh(1.0, 1, 1)[0][0] == 2.0
+
+    def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
+        monkeypatch.setattr(rotor, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
+        with pytest.raises(EigensolverError, match=r"x=2\.0, m=0, j_max=5 \(dstevd info=3\)"):
+            solve_pendular(2.0, BasisSpec(m=0, j_max=5))
+        with pytest.raises(EigensolverError):
+            moments(2.0)
 
 
 class TestOperatorMatrix:

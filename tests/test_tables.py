@@ -3,7 +3,7 @@ import json
 import pytest
 
 from pendular.chain import Phase
-from pendular.tables import Table, concat, render_csv, render_json
+from pendular.tables import Table, render_csv, render_json
 
 
 @pytest.fixture()
@@ -46,16 +46,3 @@ def test_json_payload(table):
 
 def test_column_accessor(table):
     assert table.column("label") == ["a", "b"]
-
-
-def test_concat():
-    a = Table(schema="s.v1", columns=("x",), rows=[(1,)])
-    b = Table(schema="s.v1", columns=("x",), rows=[(2,)])
-    assert concat([a, b]).rows == [(1,), (2,)]
-
-
-def test_concat_mismatch():
-    a = Table(schema="s.v1", columns=("x",), rows=[(1,)])
-    b = Table(schema="t.v1", columns=("x",), rows=[(2,)])
-    with pytest.raises(ValueError):
-        concat([a, b])
