@@ -126,6 +126,17 @@ class PhaseThresholds:
     staggered: float = 0.5
     min_gap: float = 1e-6
 
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.magnetization, self.staggered, self.min_gap)):
+            raise ValueError(
+                f"thresholds must be finite, got magnetization={self.magnetization}, "
+                f"staggered={self.staggered}, min_gap={self.min_gap}"
+            )
+        if not 0 < self.magnetization <= 1:
+            raise ValueError(f"magnetization threshold must be in (0, 1], got {self.magnetization}")
+        if self.min_gap < 0:
+            raise ValueError(f"min_gap must be non-negative, got {self.min_gap}")
+
 
 def chain_constants(mset: MomentSet, omega: float) -> ChainConstants:
     """XXZ couplings realized by a field-parallel molecular array."""

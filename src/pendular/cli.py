@@ -126,14 +126,22 @@ def _write_output(args, table: Table, metadata: dict | None = None) -> None:
     Path(f"{out}.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
+def _check_x_axis(args, parser) -> None:
+    """--x-max and --x-step of stark-map and fit: finite, step > 0, x-max >= 0."""
+    if not (math.isfinite(args.x_step) and args.x_step > 0):
+        parser.error("--x-step must be positive and finite")
+    if not (math.isfinite(args.x_max) and args.x_max >= 0):
+        parser.error("--x-max must be non-negative and finite")
+
+
 def cmd_stark_map(args, parser) -> int:
-    if args.x_step <= 0:
-        parser.error("--x-step must be positive")
-    if args.x_max < 0:
-        parser.error("--x-max must be non-negative")
+    _check_x_axis(args, parser)
     xs = np.round(np.arange(0.0, args.x_max + args.x_step / 2, args.x_step), 12)
-    m_values = tuple(int(m) for m in args.m.split(","))
-    table = stark_map(xs, m_values=m_values, n_states=args.n_states, j_max=args.j_max)
+    try:
+        m_values = tuple(int(m) for m in args.m.split(","))
+        table = stark_map(xs, m_values=m_values, n_states=args.n_states, j_max=args.j_max)
+    except ValueError as exc:
+        parser.error(str(exc))
     _write_output(args, table)
     return 0
 
@@ -219,9 +227,11 @@ def cmd_coupling_grid(args, parser) -> int:
 
 
 def cmd_fit(args, parser) -> int:
-    if args.x_step <= 0:
-        parser.error("--x-step must be positive")
-    table, fit = comparison_table(args.quantity, x_max=args.x_max, step=args.x_step, j_max=args.j_max)
+    _check_x_axis(args, parser)
+    try:
+        table, fit = comparison_table(args.quantity, x_max=args.x_max, step=args.x_step, j_max=args.j_max)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.quantity == "gap":
         fit_meta = {"coefficients": list(fit.coefficients), "r_squared": fit.r_squared}
     else:
@@ -292,8 +302,8 @@ def cmd_phase_diagram(args, parser) -> int:
         omegas = parse_grid(args.omega_grid)
     except ValueError as exc:
         parser.error(str(exc))
-    thresholds = PhaseThresholds(magnetization=args.fm_threshold)
     try:
+        thresholds = PhaseThresholds(magnetization=args.fm_threshold)
         table = phase_diagram(
             xs,
             omegas,

@@ -9,12 +9,16 @@ for each of the dipole moment curves c0, c1, cx.  Previously published
 parameter sets are bundled as ``REFERENCE_*`` so comparison tables can put
 computed data, the reference curves, and a fresh refit side by side.  The
 double sigmoid is over-parameterized, so fits are judged in function space
-(curve deviation, R^2), never by parameter closeness.
+(curve deviation, R^2), never by parameter closeness.  Both sigmoid centres
+are bounded to the sampled window widened by its own width on each side:
+the unbounded c1 optimum lies at infinity (x2 -> -inf with a0 -> -inf and
+a2 -> +inf), and a centre further out is no longer a step in the data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -122,11 +126,13 @@ def fit_moment(xs, ys, initial=None, max_nfev: int = 20000) -> SigmoidFit:
 
     if initial is None:
         initial = REFERENCE_MOMENT_PARAMS["c0"]
-    lower = [-np.inf] * 5 + [1e-8, 1e-8]  # sigmoid widths must stay positive
-    upper = [np.inf] * 7
+    # Centres stay within one window width of the samples; widths stay positive.
+    span = xs.max() - xs.min()
+    lower = np.array([-np.inf] * 3 + [xs.min() - span] * 2 + [1e-8, 1e-8])
+    upper = np.array([np.inf] * 3 + [xs.max() + span] * 2 + [np.inf] * 2)
     result = least_squares(
         lambda p: double_sigmoid(xs, *p) - ys,
-        x0=np.asarray(initial, dtype=float),
+        x0=np.clip(np.asarray(initial, dtype=float), lower, upper),
         bounds=(lower, upper),
         method="trf",
         max_nfev=max_nfev,
@@ -139,13 +145,25 @@ def fit_moment(xs, ys, initial=None, max_nfev: int = 20000) -> SigmoidFit:
 def fit_samples(
     quantity: str, x_max: float = 12.0, step: float = 0.01, j_max: int = DEFAULT_J_MAX
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Computed samples of one fittable quantity on a uniform grid."""
+    """Computed samples of one fittable quantity on a uniform grid.
+
+    The grid is solved once for all quantities of a run, so the returned
+    arrays are shared and read-only.
+    """
     if quantity not in FIT_QUANTITIES:
         raise ValueError(f"quantity must be one of {FIT_QUANTITIES}, got {quantity!r}")
+    curves = _grid_curves(x_max, step, j_max)
+    return curves["x"], curves["delta_e" if quantity == "gap" else quantity]
+
+
+@lru_cache(maxsize=1)
+def _grid_curves(x_max: float, step: float, j_max: int) -> dict[str, NDArray[np.float64]]:
+    """Read-only moment curves on 0:x_max:step, solved once for all quantities of a run."""
     xs = np.round(np.arange(0.0, x_max + step / 2, step), 12)
     curves = moment_curves(xs, j_max)
-    key = "delta_e" if quantity == "gap" else quantity
-    return xs, curves[key]
+    for values in curves.values():
+        values.setflags(write=False)
+    return curves
 
 
 def refit(quantity: str, xs, ys) -> PolyFit | SigmoidFit:

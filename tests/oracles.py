@@ -173,3 +173,30 @@ def full_space_ground(h: np.ndarray, n: int, bonds: list[tuple[int, int]]) -> di
         "staggered_zz_correlation": float(weights @ staggered**2),
         "ground_overlap_polarized": float(weights[-1]),
     }
+
+
+def unbounded_double_sigmoid_fit(xs, ys, initial) -> np.ndarray:
+    """Double-sigmoid parameters from trust-region least squares with free centres.
+
+    The model is written out here with the same exponent clipping as the
+    library's, and the solver settings are the ones used before the sigmoid
+    centres were bounded: only the two widths are bounded (below, by 1e-8).
+    """
+    from scipy.optimize import least_squares
+
+    xs = np.asarray(xs, dtype=float)
+
+    def residual(p):
+        a0, a1, a2, x1, x2, k1, k2 = p
+        u1 = np.clip((xs - x1) / k1, -500.0, 500.0)
+        u2 = np.clip(-(xs - x2) / k2, -500.0, 500.0)
+        return a0 + a1 / (1.0 + np.exp(u1)) + a2 / (1.0 + np.exp(u2)) - ys
+
+    result = least_squares(
+        residual,
+        x0=np.asarray(initial, dtype=float),
+        bounds=([-np.inf] * 5 + [1e-8, 1e-8], [np.inf] * 7),
+        method="trf",
+        max_nfev=20000,
+    )
+    return result.x

@@ -295,6 +295,35 @@ class TestClassification:
         t = PhaseThresholds()
         assert t.magnetization == 0.99
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"magnetization": math.nan},
+            {"staggered": math.inf},
+            {"min_gap": math.nan},
+            {"magnetization": 0.0},
+            {"magnetization": 1.5},
+            {"magnetization": -0.5},
+            {"min_gap": -1e-6},
+        ],
+        ids=[
+            "magnetization-nan",
+            "staggered-inf",
+            "min-gap-nan",
+            "magnetization-zero",
+            "magnetization-above-one",
+            "magnetization-negative",
+            "min-gap-negative",
+        ],
+    )
+    def test_thresholds_reject_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            PhaseThresholds(**kwargs)
+
+    def test_thresholds_accept_boundary_values(self):
+        t = PhaseThresholds(magnetization=1.0, staggered=-1.0, min_gap=0.0)
+        assert (t.magnetization, t.staggered, t.min_gap) == (1.0, -1.0, 0.0)
+
     @pytest.mark.parametrize("jz_over_j", [-0.5, 0.0, 0.5])
     def test_saturation_onset_tracks_one_magnon_line(self, jz_over_j):
         j = 1.0

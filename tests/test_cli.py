@@ -204,7 +204,7 @@ class TestPhaseDiagram:
 
 
 class TestRejectedChainInputs:
-    """Bad scan points are usage errors (exit 2), caught before any solve."""
+    """Bad scan points and thresholds are usage errors (exit 2), caught before any solve."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -220,6 +220,7 @@ class TestRejectedChainInputs:
             ["chain-ed", "--x=-1", "--omega", "1e-4"],
             ["chain-ed", "--x", "6", "--omega", "inf"],
             ["chain-ed", "--x", "6", "--omega", "nan"],
+            ["phase-diagram", "--fm-threshold", "nan"],
         ],
         ids=[
             "phase-diagram-x-nan",
@@ -233,6 +234,7 @@ class TestRejectedChainInputs:
             "chain-ed-x-negative",
             "chain-ed-omega-inf",
             "chain-ed-omega-nan",
+            "phase-diagram-fm-threshold-nan",
         ],
     )
     def test_usage_error(self, argv, capsys):
@@ -245,7 +247,8 @@ class TestRejectedChainInputs:
 
 
 class TestRejectedMomentInputs:
-    """Non-finite fields and couplings, bad cutoffs and too small a basis are usage errors (exit 2)."""
+    """Non-finite fields, couplings and axes, bad cutoffs, too few fit samples and too small a
+    basis are usage errors (exit 2)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -263,6 +266,11 @@ class TestRejectedMomentInputs:
             ["couplings", "--x", "1", "--omega", "1e-5", "--j-max", "1"],
             ["moments", "--x-grid", "0,12", "--j-max", "10"],
             ["fit", "--quantity", "gap", "--x-max", "1", "--j-max", "1"],
+            ["stark-map", "--x-max", "nan"],
+            ["stark-map", "--x-step", "inf"],
+            ["fit", "--quantity", "gap", "--x-max", "nan"],
+            ["fit", "--quantity", "c0", "--x-step", "5"],
+            ["stark-map", "--m", "0,1,2,3,4", "--j-max", "2"],
         ],
         ids=[
             "couplings-omega-nan",
@@ -278,6 +286,11 @@ class TestRejectedMomentInputs:
             "couplings-truncated-basis",
             "moments-truncated-basis",
             "fit-truncated-basis",
+            "stark-map-x-max-nan",
+            "stark-map-x-step-inf",
+            "fit-x-max-nan",
+            "fit-too-few-samples",
+            "stark-map-m-above-j-max",
         ],
     )
     def test_usage_error(self, argv, capsys):

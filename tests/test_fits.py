@@ -9,9 +9,13 @@ from pendular.fits import (
     double_sigmoid,
     fit_gap,
     fit_moment,
+    fit_samples,
     gap_polynomial,
     reference_curve,
 )
+from pendular.moments import moment_curves
+
+from oracles import unbounded_double_sigmoid_fit
 
 
 class TestFitGap:
@@ -123,6 +127,49 @@ class TestAgainstComputedCurves:
     def test_alternate_reading_only_for_cx(self):
         with pytest.raises(ValueError):
             reference_curve("c0", np.linspace(0, 12, 5), alternate=True)
+
+
+class TestBoundedCentres:
+    """Sigmoid centres are bounded to the sample window widened by its width on each side."""
+
+    @pytest.mark.parametrize("quantity", ["c0", "cx"])
+    def test_interior_optimum_matches_unbounded_fit(self, quantity, dense_curves):
+        xs, ys = dense_curves["x"], dense_curves[quantity]
+        initial = REFERENCE_MOMENT_PARAMS[quantity]
+        fit = fit_moment(xs, ys, initial=initial)
+        free = unbounded_double_sigmoid_fit(xs, ys, initial)
+        assert np.abs(fit.predict(xs) - double_sigmoid(xs, *free)).max() <= 1e-6
+
+    def test_c1_refit_converges_to_finite_parameters(self, dense_curves):
+        xs = dense_curves["x"]
+        fit = fit_moment(xs, dense_curves["c1"], initial=REFERENCE_MOMENT_PARAMS["c1"])
+        assert fit.converged
+        span = xs.max() - xs.min()
+        for centre in fit.params[3:5]:
+            assert xs.min() - span <= centre <= xs.max() + span
+        assert max(abs(p) for p in fit.params) <= 100
+        assert fit.r_squared >= 0.99998
+
+    def test_reference_start_outside_short_window_is_clipped(self):
+        # The c0 reference x2 = -1.26 lies outside [-1, 2], the window of 0:1.
+        table, fit = comparison_table("c0", x_max=1.0, step=0.01)
+        assert len(table.rows) == 101
+        assert -1.0 <= fit.params[4] <= 2.0
+
+
+class TestFitSamples:
+    def test_grid_solved_once_and_read_only(self):
+        xs, c0 = fit_samples("c0", x_max=3.0, step=0.01)
+        xs_again, c1 = fit_samples("c1", x_max=3.0, step=0.01)
+        assert xs_again is xs
+        assert not xs.flags.writeable and not c0.flags.writeable and not c1.flags.writeable
+
+    def test_equals_fresh_moment_curves(self):
+        grid = np.round(np.arange(0.0, 3.0 + 0.01 / 2, 0.01), 12)
+        fresh = moment_curves(grid)
+        for quantity, key in (("gap", "delta_e"), ("c0", "c0"), ("c1", "c1"), ("cx", "cx")):
+            xs, ys = fit_samples(quantity, x_max=3.0, step=0.01)
+            assert np.array_equal(xs, fresh["x"]) and np.array_equal(ys, fresh[key])
 
 
 class TestComparisonTable:
