@@ -7,12 +7,13 @@ Hamiltonian (Pauli operators, couplings in units of B):
 Basis states are n-bit integers with bit i = 1 meaning sigma_z = +1 ("up")
 on site i.  Total magnetization is conserved, so H is block-diagonal over
 popcount sectors; within a sector the gamma term is the constant shift
--gamma*(2k - n).  Each sector is therefore solved once, at gamma = 0, for
-its two lowest levels and ground vector; every gamma, and in a scan every
-Omega > 0 (which multiplies the gamma-free part), is arithmetic on that
-solve.  Small sectors are diagonalized densely, larger ones by Lanczos, and
-every returned eigenpair is checked by its residual.  The xy part acts as a
-flip-flop of amplitude 2 j on anti-aligned neighbor pairs.
+-gamma*(2k - n).  A sector is solved at most once, at gamma = 0, for its two
+lowest levels and ground vector; every gamma, and in a scan every Omega > 0
+(which multiplies the gamma-free part), is arithmetic on that solve.  A
+sector is skipped when Weyl's lower bound on its levels shows that it cannot
+change the result.  Small sectors are diagonalized densely, larger ones by
+Lanczos, and every solved eigenpair is checked by its residual.  The xy part
+acts as a flip-flop of amplitude 2 j on anti-aligned neighbor pairs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache, partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -61,19 +63,13 @@ class ChainConstants(NamedTuple):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Chain definition: size, boundary, couplings (units of B).
-
-    ``long_range=True`` couples every site pair with the dipolar 1/d^3
-    weight (d in lattice spacings, chord distance on a ring); the default is
-    nearest-neighbor only.
-    """
+    """Nearest-neighbor chain definition: size, boundary, couplings (units of B)."""
 
     n: int
     j: float
     jz: float
     gamma: float
     boundary: str = "open"
-    long_range: bool = False
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in (self.j, self.jz, self.gamma)):
@@ -88,19 +84,6 @@ class ChainSpec:
         pairs = [(i, i + 1) for i in range(self.n - 1)]
         if self.boundary == "periodic" and self.n > 2:
             pairs.append((self.n - 1, 0))
-        return pairs
-
-    @property
-    def weighted_bonds(self) -> list[tuple[int, int, float]]:
-        if not self.long_range:
-            return [(i, j, 1.0) for i, j in self.bonds]
-        pairs = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                d = j - i
-                if self.boundary == "periodic":
-                    d = min(d, self.n - d)
-                pairs.append((i, j, 1.0 / d**3))
         return pairs
 
 
@@ -165,8 +148,8 @@ def _sz_columns(states: NDArray[np.int64], n: int) -> NDArray[np.int64]:
 def _diagonal(spec: ChainSpec, states: NDArray[np.int64]) -> NDArray[np.float64]:
     sz = _sz_columns(states, spec.n)
     diag = np.zeros(len(states))
-    for i, jj, w in spec.weighted_bonds:
-        diag += w * spec.jz * sz[:, i] * sz[:, jj]
+    for i, jj in spec.bonds:
+        diag += spec.jz * sz[:, i] * sz[:, jj]
     diag -= spec.gamma * sz.sum(axis=1)
     return diag
 
@@ -175,7 +158,7 @@ def _flip_flop_entries(
     spec: ChainSpec, states: NDArray[np.int64]
 ) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.float64]]:
     rows, cols, vals = [], [], []
-    for i, jj, w in spec.weighted_bonds:
+    for i, jj in spec.bonds:
         mask_i = (states >> i) & 1
         mask_j = (states >> jj) & 1
         anti = mask_i != mask_j
@@ -185,10 +168,7 @@ def _flip_flop_entries(
         dst_idx = np.searchsorted(states, dst)
         rows.append(src_idx)
         cols.append(dst_idx)
-        vals.append(np.full(len(src), 2.0 * w * spec.j))
-    if not rows:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty, np.array([])
+        vals.append(np.full(len(src), 2.0 * spec.j))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
@@ -235,10 +215,12 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
     else:
         # A fixed pseudo-random start vector keeps repeated scans
         # byte-identical; unlike a uniform one it overlaps every lattice
-        # symmetry sector, so no level is missed.
-        v0 = np.random.default_rng(0).standard_normal(dim)
+        # symmetry sector, so no level is missed.  ARPACK's restarts (after a
+        # breakdown, common on rings) draw from it too, not from OS entropy.
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(dim)
         try:
-            energies, vecs = eigsh(h, k=2, which="SA", v0=v0)
+            energies, vecs = eigsh(h, k=2, which="SA", v0=v0, rng=rng)
         except ArpackError as exc:
             raise SectorConvergenceError(
                 f"sector k={k} (dim {dim}) of n={spec.n} chain: {exc}"
@@ -279,65 +261,84 @@ def _observables(spec: ChainSpec, sol: _SectorSolution) -> dict[str, float]:
 
 
 class _SectorSpectra:
-    """Lowest pair and ground vector of every sector of the gamma-free chain.
+    """Sectors of the gamma-free chain, each solved on first use and then kept.
 
     Sector k of the chain at field gamma, with the gamma-free part scaled by
     ``scale``, has the levels ``scale * lambda_k - gamma * (2k - n)``, so one
-    solve serves every gamma and every positive scale.  Observables are
-    computed only for sectors that win, once each.
+    solve serves every gamma and every positive scale.  A bond term has the
+    levels jz, jz and -jz +- 2j, so by Weyl's inequality every lambda_k lies
+    in [floor, ceil], the bond count times the lowest and highest of them.
+    Observables are computed only for sectors that win, once each.
     """
 
     def __init__(self, spec: ChainSpec, method: str) -> None:
-        self.spec = replace(spec, gamma=0.0)
-        self.sectors = [_solve_sector(self.spec, k, method) for k in range(spec.n + 1)]
-        self._observables: dict[int, dict[str, float]] = {}
+        self.spec = free = replace(spec, gamma=0.0)
+        self.floor = len(spec.bonds) * min(spec.jz, -spec.jz - 2.0 * abs(spec.j))
+        self.ceil = len(spec.bonds) * max(spec.jz, -spec.jz + 2.0 * abs(spec.j))
+        # Solved on first use; the closures hold no reference back to self.
+        self.sector = sector = cache(partial(_solve_sector, free, method=method))
+        self.observables = cache(lambda k: _observables(free, sector(k)))
+
+    def tie_tolerance(self, gamma: float, scale: float) -> float:
+        """Gap below which two sector ground levels tie: 1e-12 of a bound on every |level|."""
+        return 1e-12 * max(1.0, scale * max(abs(self.floor), abs(self.ceil)) + abs(gamma) * self.spec.n)
 
     def onset_gamma(self) -> float:
         """Smallest gamma at which the fully polarized sector is the global ground."""
         n = self.spec.n
-        e_top = self.sectors[n].lowest
-        return max((e_top - s.lowest) / (2.0 * (n - s.k)) for s in self.sectors[:n])
+        e_top = self.sector(n).lowest
+        margin = 2.0 * self.tie_tolerance(0.0, 1.0)
+        onset = -math.inf
+        for k in range(n - 1, -1, -1):
+            # lambda_k >= floor caps sector k's crossing field; the cap falls with k.
+            if (e_top - self.floor) / (2.0 * (n - k)) + margin < onset:
+                break
+            onset = max(onset, (e_top - self.sector(k).lowest) / (2.0 * (n - k)))
+        return onset
 
     def ground_state(self, gamma: float, scale: float = 1.0) -> ChainResult:
         n = self.spec.n
-        lowest = [scale * s.lowest - gamma * (2 * s.k - n) for s in self.sectors]
-        energy_scale = max(1.0, max(abs(e) for e in lowest))
-        e_min = min(lowest)
-        tied = [k for k, e in enumerate(lowest) if e - e_min <= 1e-12 * energy_scale]
+        tol = self.tie_tolerance(gamma, scale)
+        lowest: dict[int, float] = {}
+        levels: list[float] = []
+        # Visit sectors by their bound scale * floor - gamma * (2k - n); once it exceeds the
+        # second level found by twice the tie tolerance, no other sector can win, tie or set the gap.
+        for k in sorted(range(n + 1), key=lambda k: -gamma * (2 * k - n)):
+            shift = -gamma * (2 * k - n)
+            if len(levels) > 1 and scale * self.floor + shift > levels[1] + 2.0 * tol:
+                break
+            s = self.sector(k)
+            lowest[k] = scale * s.lowest + shift
+            levels = sorted(levels + [scale * e + shift for e in (s.lowest, s.second) if e is not None])
+        tied = [k for k, e in lowest.items() if e - levels[0] <= tol]
         winner = max(tied)
-        partner_mag = (2 * min(tied) - n) / n if len(tied) > 1 else None
-
-        seconds = [
-            scale * s.second - gamma * (2 * s.k - n) for s in self.sectors if s.second is not None
-        ]
-        spectrum = sorted(lowest + seconds)
-        gap = spectrum[1] - spectrum[0] if len(spectrum) > 1 else 0.0
-
-        if winner not in self._observables:
-            self._observables[winner] = _observables(self.spec, self.sectors[winner])
-        obs = self._observables[winner]
+        obs = self.observables(winner)
         return ChainResult(
             ground_energy=lowest[winner],
             magnetization_per_site=obs["magnetization"],
             nn_zz_correlation=obs["nn_zz"],
             staggered_zz_correlation=obs["staggered"],
-            gap=max(gap, 0.0),
+            gap=max(levels[1] - levels[0], 0.0),
             ground_overlap_polarized=obs["overlap"],
             ground_sector=winner,
-            degenerate_partner_magnetization=partner_mag,
+            degenerate_partner_magnetization=(2 * min(tied) - n) / n if len(tied) > 1 else None,
         )
 
 
 def ground_state(spec: ChainSpec, method: str = "auto") -> ChainResult:
     """Global ground state across magnetization sectors, with observables.
 
-    ``method``: "auto" (dense only for sectors up to
-    :data:`DENSE_SECTOR_CUTOFF` states, Lanczos above), "dense", or
-    "iterative" (Lanczos for every sector of three or more states).  A chain
-    with j = 0 is diagonal and needs neither.  Degenerate sector ground states are resolved toward positive
-    magnetization; the partner's magnetization is reported.  Raises
-    :class:`SectorConvergenceError` when a sector's eigenpair fails its
-    residual check.
+    Sectors are solved in the order of their Weyl lower bound until no
+    other can hold the ground level, a tie with it or the first excited
+    level (two sectors in a strong field); the result equals that of solving
+    every sector.  ``method`` applies to the solved sectors: "auto" (dense
+    only up to :data:`DENSE_SECTOR_CUTOFF` states, Lanczos above), "dense",
+    or "iterative" (Lanczos from three states up).  A chain with j = 0 is
+    diagonal and needs neither.  Sector ground levels within 1e-12 of a
+    bound on every |level| tie and resolve toward positive magnetization;
+    the partner's magnetization is reported.  Raises
+    :class:`SectorConvergenceError` when a solved sector's eigenpair fails
+    its residual check; skipped sectors are never checked.
     """
     return _SectorSpectra(spec, method).ground_state(spec.gamma)
 
@@ -348,17 +349,14 @@ def polarization_onset_gamma(
     """Smallest gamma at which the fully polarized state is the global ground.
 
     Within each sector gamma only shifts energies by -gamma*(2k - n), so the
-    crossing field follows exactly from the gamma-free sector spectra.
+    crossing field follows exactly from the gamma-free sector spectra, less
+    the sectors whose Weyl bound caps their crossing below one already found.
     """
     spec = ChainSpec(n=n, j=j, jz=jz, gamma=0.0, boundary=boundary)
     return _SectorSpectra(spec, method).onset_gamma()
 
 
-def classify_phase(
-    result: ChainResult,
-    constants: ChainConstants,
-    thresholds: PhaseThresholds | None = None,
-) -> Phase:
+def classify_phase(result: ChainResult, thresholds: PhaseThresholds | None = None) -> Phase:
     """Deterministic label from ED observables and explicit thresholds."""
     t = thresholds or PhaseThresholds()
     if abs(result.magnetization_per_site) >= t.magnetization:
@@ -380,7 +378,7 @@ def _phase_rows(args: tuple) -> list[tuple]:
     for omega in omegas:
         consts = chain_constants(mset, omega)
         result = spectra.ground_state(consts.gamma, scale=omega)
-        phase = classify_phase(result, consts, thresholds)
+        phase = classify_phase(result, thresholds)
         jz_over_j = consts.jz / consts.j if consts.j != 0 else math.nan
         gamma_over_j = consts.gamma / consts.j if consts.j != 0 else math.nan
         rows.append((x, omega, jz_over_j, gamma_over_j, phase))
@@ -403,6 +401,8 @@ def phase_diagram(
     is solved once for the whole Omega row.  ``workers > 1`` spreads the x
     values over a process pool.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     xs = np.asarray(x_grid, dtype=float)
     omegas = np.asarray(omega_grid, dtype=float)
     if xs.size == 0 or omegas.size == 0:

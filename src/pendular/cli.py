@@ -254,7 +254,7 @@ def cmd_chain_ed(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     result = ground_state(spec)
-    phase = classify_phase(result, consts)
+    phase = classify_phase(result)
     table = Table(
         schema="chain_ed.v1",
         columns=(
@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--boundary", choices=("open", "periodic"), default="open")
     p.add_argument("--fm-threshold", type=float, default=0.99, help="|magnetization| for the polarized label")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1)
     _add_common(p)
     p.set_defaults(func=cmd_phase_diagram)
 

@@ -2,11 +2,14 @@
 
 Everything here deliberately avoids the code paths under test: matrix
 elements come from brute-force spherical quadrature, derivatives from
-central differences, XX-chain energies from the free-fermion mapping, and
-the pseudo-spin moments from the public full-spectrum solver.
+central differences, XX-chain energies from the free-fermion mapping, the
+pseudo-spin moments from the public full-spectrum solver, and chain ground
+states from every magnetization sector, with no pruning.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -173,6 +176,47 @@ def full_space_ground(h: np.ndarray, n: int, bonds: list[tuple[int, int]]) -> di
         "staggered_zz_correlation": float(weights @ staggered**2),
         "ground_overlap_polarized": float(weights[-1]),
     }
+
+
+def all_sectors_ground_state(spec, method: str = "auto", scale: float = 1.0):
+    """Chain ground state from every magnetization sector, none skipped.
+
+    Solves each sector of the gamma-free chain with ``chain._solve_sector``,
+    takes the levels ``scale * lambda_k - gamma * (2k - n)`` and reduces them
+    with the library's tie rule: ground levels within 1e-12 of a bound on
+    every |level| (the bond count times the largest |two-site level|, plus
+    |gamma| n) tie, and the largest magnetization among them wins.  Returns
+    the :class:`pendular.chain.ChainResult` and the polarization onset, the
+    largest crossing field (E_n - lambda_k) / (2 (n - k)) over all k < n.
+    """
+    from pendular import chain
+
+    free = replace(spec, gamma=0.0)
+    n, gamma = spec.n, spec.gamma
+    sectors = [chain._solve_sector(free, k, method) for k in range(n + 1)]
+    lowest = [scale * s.lowest - gamma * (2 * s.k - n) for s in sectors]
+    seconds = [scale * s.second - gamma * (2 * s.k - n) for s in sectors if s.second is not None]
+    spectrum = sorted(lowest + seconds)
+    bond_levels = two_site_spectrum(spec.j, spec.jz, 0.0)
+    n_bonds = len(spec.bonds)
+    bound = scale * max(abs(n_bonds * bond_levels.min()), abs(n_bonds * bond_levels.max())) + abs(gamma) * n
+    tol = 1e-12 * max(1.0, bound)
+    tied = [k for k, e in enumerate(lowest) if e - spectrum[0] <= tol]
+    winner = max(tied)
+    obs = chain._observables(free, sectors[winner])
+    result = chain.ChainResult(
+        ground_energy=lowest[winner],
+        magnetization_per_site=obs["magnetization"],
+        nn_zz_correlation=obs["nn_zz"],
+        staggered_zz_correlation=obs["staggered"],
+        gap=max(spectrum[1] - spectrum[0], 0.0),
+        ground_overlap_polarized=obs["overlap"],
+        ground_sector=winner,
+        degenerate_partner_magnetization=(2 * min(tied) - n) / n if len(tied) > 1 else None,
+    )
+    e_top = sectors[n].lowest
+    onset = max((e_top - s.lowest) / (2.0 * (n - s.k)) for s in sectors[:n])
+    return result, onset
 
 
 def unbounded_double_sigmoid_fit(xs, ys, initial) -> np.ndarray:

@@ -251,7 +251,7 @@ def test_criterion_10_weak_coupling_ferromagnet():
             consts = chain_constants(mset, omega)
             spec = ChainSpec(n=10, j=consts.j, jz=consts.jz, gamma=consts.gamma)
             result = ground_state(spec)
-            phase = classify_phase(result, consts)
+            phase = classify_phase(result)
             min_ratio = min(min_ratio, consts.gamma / consts.j)
             min_overlap = min(min_overlap, result.ground_overlap_polarized)
             all_fm = all_fm and (phase is Phase.FERROMAGNETIC)

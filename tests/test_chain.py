@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pendular.chain as chain_module
 from pendular.chain import (
@@ -20,6 +23,7 @@ from pendular.chain import (
 from pendular.moments import moments
 
 from oracles import (
+    all_sectors_ground_state,
     full_space_ground,
     two_site_spectrum,
     xx_open_chain_gap,
@@ -31,6 +35,9 @@ from oracles import (
 #: physical (x, Omega) grids label every point ferromagnetic, so these
 #: direct specs are what reach the other two labels.
 ORACLE_SPECS = [(jz, gamma) for jz in (-2.0, 0.5, 3.0) for gamma in (0.0, 0.7, 12.0)]
+#: Couplings and fields of both signs, with exact zeros drawn often.
+COUPLINGS = st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0))
+FIELDS = st.one_of(st.just(0.0), st.floats(min_value=-20.0, max_value=20.0))
 
 
 class TestChainSpec:
@@ -59,60 +66,6 @@ class TestChainSpec:
         assert ring.bonds == [(0, 1), (1, 2), (2, 3), (3, 0)]
         two_ring = ChainSpec(n=2, j=1.0, jz=0.0, gamma=0.0, boundary="periodic")
         assert two_ring.bonds == [(0, 1)]
-
-    def test_long_range_weights(self):
-        spec = ChainSpec(n=4, j=1.0, jz=0.0, gamma=0.0, long_range=True)
-        weights = {(i, j): w for i, j, w in spec.weighted_bonds}
-        assert weights[(0, 1)] == 1.0
-        assert weights[(0, 2)] == pytest.approx(1.0 / 8.0)
-        assert weights[(0, 3)] == pytest.approx(1.0 / 27.0)
-        ring = ChainSpec(n=4, j=1.0, jz=0.0, gamma=0.0, boundary="periodic", long_range=True)
-        ring_weights = {(i, j): w for i, j, w in ring.weighted_bonds}
-        assert ring_weights[(0, 3)] == 1.0  # chord distance 1 on the ring
-
-    def test_long_range_off_by_default(self):
-        spec = ChainSpec(n=5, j=0.3, jz=-0.7, gamma=0.1)
-        assert not spec.long_range
-        nn = ChainSpec(n=5, j=0.3, jz=-0.7, gamma=0.1, long_range=False)
-        a = build_chain_hamiltonian(spec).toarray()
-        b = build_chain_hamiltonian(nn).toarray()
-        assert np.array_equal(a, b)
-
-    def test_long_range_spectrum_against_manual_build(self):
-        spec = ChainSpec(n=3, j=0.9, jz=0.4, gamma=0.2, long_range=True)
-        h = build_chain_hamiltonian(spec).toarray()
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-        sz = np.diag([1.0, -1.0])
-        eye = np.eye(2)
-
-        def two_site(op, i, j):
-            mats = [eye] * 3
-            mats[i] = op
-            mats[j] = op
-            out = np.array([[1.0]])
-            for m in mats:
-                out = np.kron(out, m)
-            return out
-
-        manual = np.zeros((8, 8), dtype=complex)
-        for i, j, w in ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1 / 8)):
-            manual += w * (
-                spec.j * (two_site(sx, i, j) + two_site(sy, i, j)) + spec.jz * two_site(sz, i, j)
-            )
-        for i in range(3):
-            mats = [eye] * 3
-            mats[i] = sz
-            term = np.array([[1.0]])
-            for m in mats:
-                term = np.kron(term, m)
-            manual -= spec.gamma * term
-        # Library basis: bit i = site i, bit value 1 = sigma_z +1.  Manual
-        # kron: site 0 outermost, factor index 0 = sigma_z +1.  Remap.
-        perm = [sum((1 - ((s >> i) & 1)) << (2 - i) for i in range(3)) for s in range(8)]
-        manual = manual[np.ix_(perm, perm)]
-        assert np.abs(manual.imag).max() <= 1e-14
-        assert np.abs(h - manual.real).max() <= 1e-12
 
 
 class TestHamiltonian:
@@ -198,7 +151,7 @@ class TestGroundState:
                 assert (jz, gamma) == (-2.0, 0.0)
                 assert res.magnetization_per_site == 1.0
                 assert res.degenerate_partner_magnetization == -1.0
-            labels.add(classify_phase(res, (spec.j, spec.jz, spec.gamma)))
+            labels.add(classify_phase(res))
         assert labels == set(Phase)
 
     def test_lanczos_reaches_every_lattice_symmetry(self):
@@ -251,6 +204,61 @@ class TestGroundState:
         assert abs(res.magnetization_per_site) == pytest.approx(0.0, abs=1e-12)
 
 
+class TestSectorPruning:
+    """Sectors that the Weyl bound rules out are skipped without changing any result."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=10),
+        boundary=st.sampled_from(["open", "periodic"]),
+        j=COUPLINGS,
+        jz=COUPLINGS,
+        gamma=FIELDS,
+        scale=st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=1e3)),
+        method=st.sampled_from(["auto", "dense", "iterative"]),
+    )
+    def test_equals_all_sector_solve(self, n, boundary, j, jz, gamma, scale, method):
+        spec = ChainSpec(n=n, j=j, jz=jz, gamma=gamma, boundary=boundary)
+        expected, onset = all_sectors_ground_state(spec, method)
+        assert ground_state(spec, method) == expected
+        assert polarization_onset_gamma(n, j, jz, boundary=boundary, method=method) == onset
+        # The onset field is a level crossing, so the tie rule decides there.
+        at_onset = replace(spec, gamma=onset)
+        assert ground_state(at_onset, method) == all_sectors_ground_state(at_onset, method)[0]
+        # A scan scales the gamma-free part by Omega.
+        spectra = chain_module._SectorSpectra(spec, method)
+        assert spectra.ground_state(gamma, scale) == all_sectors_ground_state(spec, method, scale)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=9),
+        boundary=st.sampled_from(["open", "periodic"]),
+        j=COUPLINGS,
+        jz=COUPLINGS,
+    )
+    def test_floor_bounds_every_sector(self, n, boundary, j, jz):
+        spectra = chain_module._SectorSpectra(ChainSpec(n=n, j=j, jz=jz, gamma=0.0, boundary=boundary), "dense")
+        # Exact in real arithmetic; a computed level may sit a few ulps
+        # below, far inside the 1e-12 tie margin that pruning keeps.
+        rounding = 1e-14 * max(1.0, abs(spectra.floor), abs(spectra.ceil))
+        for k in range(n + 1):
+            lowest = spectra.sector(k).lowest
+            assert spectra.floor - rounding <= lowest <= spectra.ceil + rounding
+
+    def test_molecular_scan_solves_two_sectors_per_x(self, monkeypatch):
+        solve = chain_module._solve_sector
+        calls = []
+
+        def counted(spec, k, method):
+            calls.append(k)
+            return solve(spec, k, method)
+
+        monkeypatch.setattr(chain_module, "_solve_sector", counted)
+        xs = [1.5, 4.5, 7.5, 10.5]
+        phase_diagram(xs, [1e-6, 1e-5, 1e-4], n=12)
+        assert calls == [12, 11] * len(xs)
+
+
 class TestChainConstants:
     def test_formulas(self):
         m = moments(5.0)
@@ -282,14 +290,12 @@ class TestClassification:
     def test_ferromagnetic_examples(self):
         for gamma in (0.0, 0.5, 3.0):
             spec = ChainSpec(n=8, j=1.0, jz=-2.0, gamma=gamma)
-            res = ground_state(spec)
-            consts = (spec.j, spec.jz, spec.gamma)
-            assert classify_phase(res, consts) is Phase.FERROMAGNETIC
+            assert classify_phase(ground_state(spec)) is Phase.FERROMAGNETIC
 
     def test_xx_point_is_luttinger_liquid(self):
         spec = ChainSpec(n=8, j=1.0, jz=0.0, gamma=0.0)
         res = ground_state(spec)
-        assert classify_phase(res, (spec.j, spec.jz, spec.gamma)) is Phase.LUTTINGER_LIQUID
+        assert classify_phase(res) is Phase.LUTTINGER_LIQUID
 
     def test_threshold_dataclass_defaults(self):
         t = PhaseThresholds()
@@ -360,6 +366,11 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError):
             phase_diagram([], [1e-5], n=4)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_non_positive_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            phase_diagram([1.0], [1e-5], n=4, workers=workers)
+
     @pytest.mark.parametrize(
         "xs,omegas,match",
         [
@@ -388,7 +399,7 @@ class TestPhaseDiagram:
                 c = chain_constants(mset, omega)
                 res = ground_state(ChainSpec(n=6, j=c.j, jz=c.jz, gamma=c.gamma, boundary="periodic"))
                 ratios = (c.jz / c.j, c.gamma / c.j) if c.j != 0 else (math.nan, math.nan)
-                expected.append((x, omega, *ratios, classify_phase(res, c)))
+                expected.append((x, omega, *ratios, classify_phase(res)))
         np.testing.assert_equal(table.rows, expected)
 
     def test_parallel_matches_serial(self):

@@ -204,7 +204,7 @@ class TestPhaseDiagram:
 
 
 class TestRejectedChainInputs:
-    """Bad scan points and thresholds are usage errors (exit 2), caught before any solve."""
+    """Bad scan points, thresholds and worker counts are usage errors (exit 2), caught before any solve."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -221,6 +221,8 @@ class TestRejectedChainInputs:
             ["chain-ed", "--x", "6", "--omega", "inf"],
             ["chain-ed", "--x", "6", "--omega", "nan"],
             ["phase-diagram", "--fm-threshold", "nan"],
+            ["phase-diagram", "--workers", "0"],
+            ["phase-diagram", "--workers=-2"],
         ],
         ids=[
             "phase-diagram-x-nan",
@@ -235,6 +237,8 @@ class TestRejectedChainInputs:
             "chain-ed-omega-inf",
             "chain-ed-omega-nan",
             "phase-diagram-fm-threshold-nan",
+            "phase-diagram-workers-zero",
+            "phase-diagram-workers-negative",
         ],
     )
     def test_usage_error(self, argv, capsys):
