@@ -10,9 +10,13 @@ popcount sectors; within a sector the gamma term is the constant shift
 -gamma*(2k - n).  A sector is solved at most once, at gamma = 0, for its two
 lowest levels and ground vector; every gamma, and in a scan every Omega > 0
 (which multiplies the gamma-free part), is arithmetic on that solve.  A
-sector is skipped when Weyl's lower bound on its levels shows that it cannot
-change the result.  Small sectors are diagonalized densely, larger ones by
-Lanczos, and every solved eigenpair is checked by its residual.  The xy part
+sector is skipped when a lower bound on its levels shows that it cannot
+change the result: first Weyl's bound, the bond count times the lowest
+two-site level, the same for every sector; then, only where that fails, the
+half-chain bound of each sector (the lowest level of two open half-chains at
+that total magnetization, plus Weyl's bound on the cut bonds).  Small sectors
+are diagonalized densely, larger ones by Lanczos, and every solved eigenpair
+is checked by its residual against the sector matrix's norm.  The xy part
 acts as a flip-flop of amplitude 2 j on anti-aligned neighbor pairs.
 """
 
@@ -22,8 +26,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cache, partial
-from itertools import combinations
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +44,11 @@ MAX_SITES = 16
 #: above it Lanczos is faster (crossover measured between 250 and 330 with
 #: one BLAS thread).
 DENSE_SECTOR_CUTOFF = 300
-#: Largest accepted eigen-residual ||Hv - lambda v||, relative to max(1, |lambda|).
+#: Largest sector dimension solved densely when Lanczos breaks down (a
+#: 128 MB matrix); typically a ground level degenerate to working precision.
+DENSE_FALLBACK_CUTOFF = 4000
+#: Largest accepted eigen-residual ||Hv - lambda v||, relative to the sector
+#: matrix's largest absolute row sum (which bounds every |level|).
 RESIDUAL_TOL = 1e-8
 
 
@@ -134,9 +141,18 @@ def one_magnon_saturation_gamma(j: float, jz: float) -> float:
     return 2.0 * (j + jz)
 
 
+@cache
+def _popcounts(n: int) -> NDArray[np.uint8]:
+    """Number of up spins of every n-bit basis state, read-only."""
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        counts = np.concatenate([counts, counts + 1])
+    counts.flags.writeable = False
+    return counts
+
+
 def _sector_states(n: int, k: int) -> NDArray[np.int64]:
-    states = [sum(1 << i for i in bits) for bits in combinations(range(n), k)]
-    return np.array(sorted(states), dtype=np.int64)
+    return np.flatnonzero(_popcounts(n) == k).astype(np.int64, copy=False)
 
 
 def _sz_columns(states: NDArray[np.int64], n: int) -> NDArray[np.int64]:
@@ -202,6 +218,8 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
     h = _sector_matrix(spec, states)
     if dim == 1:
         return _SectorSolution(k, states, float(h[0, 0]), None, np.ones(1))
+    # Largest absolute row sum; every row stores its diagonal entry.
+    norm = float(np.add.reduceat(np.abs(h.data), h.indptr[:-1]).max())
     if spec.j == 0.0:
         # No flip-flop term: the sector matrix is diagonal (and may be zero,
         # which Lanczos cannot start from).
@@ -217,19 +235,29 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
         # byte-identical; unlike a uniform one it overlaps every lattice
         # symmetry sector, so no level is missed.  ARPACK's restarts (after a
         # breakdown, common on rings) draw from it too, not from OS entropy.
+        # ARPACK's convergence test has an absolute floor, so it runs on the
+        # matrix scaled by a power of two to unit norm (entrywise, since the
+        # factor itself overflows for a subnormal norm).
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(dim)
+        exponent = math.frexp(norm)[1]
+        unit = csr_matrix((np.ldexp(h.data, -exponent), h.indices, h.indptr), shape=h.shape)
         try:
-            energies, vecs = eigsh(h, k=2, which="SA", v0=v0, rng=rng)
+            energies, vecs = eigsh(unit, k=2, which="SA", v0=v0, rng=rng)
+            energies = np.ldexp(energies, exponent)
         except ArpackError as exc:
-            raise SectorConvergenceError(
-                f"sector k={k} (dim {dim}) of n={spec.n} chain: {exc}"
-            ) from exc
+            # Single-vector Lanczos cannot resolve a ground level degenerate
+            # to working precision (as when j is negligible next to jz).
+            if dim > DENSE_FALLBACK_CUTOFF:
+                raise SectorConvergenceError(
+                    f"sector k={k} (dim {dim}) of n={spec.n} chain: {exc}"
+                ) from exc
+            energies, vecs = eigh(h.toarray(), subset_by_index=[0, 1])
         order = np.argsort(energies)
         energies, vecs = energies[order], vecs[:, order]
     lowest, vector = float(energies[0]), vecs[:, 0]
     residual = float(np.linalg.norm(h @ vector - lowest * vector))
-    if not residual <= RESIDUAL_TOL * max(1.0, abs(lowest)):
+    if not residual <= RESIDUAL_TOL * norm:
         raise SectorConvergenceError(
             f"sector k={k} (dim {dim}) of n={spec.n} chain: eigen-residual {residual:.3e}"
         )
@@ -260,6 +288,14 @@ def _observables(spec: ChainSpec, sol: _SectorSolution) -> dict[str, float]:
     }
 
 
+def _open_chain_sector_minima(n: int, j: float, jz: float) -> NDArray[np.float64]:
+    """Lowest level of each magnetization sector of an open n-site chain at zero field."""
+    h = build_chain_hamiltonian(ChainSpec(n=n, j=j, jz=jz, gamma=0.0)).toarray()
+    counts = _popcounts(n)
+    blocks = (np.flatnonzero(counts == k) for k in range(n + 1))
+    return np.array([np.linalg.eigvalsh(h[np.ix_(idx, idx)])[0] for idx in blocks])
+
+
 class _SectorSpectra:
     """Sectors of the gamma-free chain, each solved on first use and then kept.
 
@@ -268,16 +304,38 @@ class _SectorSpectra:
     solve serves every gamma and every positive scale.  A bond term has the
     levels jz, jz and -jz +- 2j, so by Weyl's inequality every lambda_k lies
     in [floor, ceil], the bond count times the lowest and highest of them.
-    Observables are computed only for sectors that win, once each.
+    The sharper per-sector bound ``split[k]`` is computed on first use, only
+    where ``floor`` cannot rule a sector out.  Observables are computed only
+    for sectors that win, once each.
     """
 
     def __init__(self, spec: ChainSpec, method: str) -> None:
         self.spec = free = replace(spec, gamma=0.0)
-        self.floor = len(spec.bonds) * min(spec.jz, -spec.jz - 2.0 * abs(spec.j))
+        self.bond_floor = min(spec.jz, -spec.jz - 2.0 * abs(spec.j))
+        self.floor = len(spec.bonds) * self.bond_floor
         self.ceil = len(spec.bonds) * max(spec.jz, -spec.jz + 2.0 * abs(spec.j))
         # Solved on first use; the closures hold no reference back to self.
         self.sector = sector = cache(partial(_solve_sector, free, method=method))
         self.observables = cache(lambda k: _observables(free, sector(k)))
+
+    @cached_property
+    def split(self) -> NDArray[np.float64]:
+        """Lower bound on each lambda_k from the chain cut into two open halves.
+
+        Each half conserves its own magnetization, so in sector k the halves
+        together lie at or above the least lambda_left(k1) + lambda_right(k - k1);
+        each cut bond (one on an open chain, two on a ring) adds at least the
+        lowest two-site level.  Never below ``floor``, and equal to it for n < 4.
+        """
+        n, j, jz = self.spec.n, self.spec.j, self.spec.jz
+        if n < 4:
+            return np.full(n + 1, self.floor)
+        left, right = (_open_chain_sector_minima(size, j, jz) for size in (n // 2, n - n // 2))
+        halves = np.full(n + 1, np.inf)
+        for k1, e in enumerate(left):
+            halves[k1 : k1 + right.size] = np.minimum(halves[k1 : k1 + right.size], e + right)
+        cut_bonds = len(self.spec.bonds) - (n - 2)
+        return np.maximum(halves + cut_bonds * self.bond_floor, self.floor)
 
     def tie_tolerance(self, gamma: float, scale: float) -> float:
         """Gap below which two sector ground levels tie: 1e-12 of a bound on every |level|."""
@@ -293,6 +351,9 @@ class _SectorSpectra:
             # lambda_k >= floor caps sector k's crossing field; the cap falls with k.
             if (e_top - self.floor) / (2.0 * (n - k)) + margin < onset:
                 break
+            # lambda_k >= split[k] caps this sector alone.
+            if (e_top - self.split[k]) / (2.0 * (n - k)) + margin < onset:
+                continue
             onset = max(onset, (e_top - self.sector(k).lowest) / (2.0 * (n - k)))
         return onset
 
@@ -303,10 +364,15 @@ class _SectorSpectra:
         levels: list[float] = []
         # Visit sectors by their bound scale * floor - gamma * (2k - n); once it exceeds the
         # second level found by twice the tie tolerance, no other sector can win, tie or set the gap.
+        # A sector whose split bound exceeds it is skipped: levels[1] only falls as sectors are added.
         for k in sorted(range(n + 1), key=lambda k: -gamma * (2 * k - n)):
             shift = -gamma * (2 * k - n)
-            if len(levels) > 1 and scale * self.floor + shift > levels[1] + 2.0 * tol:
-                break
+            if len(levels) > 1:
+                cut = levels[1] + 2.0 * tol
+                if scale * self.floor + shift > cut:
+                    break
+                if scale * self.split[k] + shift > cut:
+                    continue
             s = self.sector(k)
             lowest[k] = scale * s.lowest + shift
             levels = sorted(levels + [scale * e + shift for e in (s.lowest, s.second) if e is not None])
@@ -328,15 +394,18 @@ class _SectorSpectra:
 def ground_state(spec: ChainSpec, method: str = "auto") -> ChainResult:
     """Global ground state across magnetization sectors, with observables.
 
-    Sectors are solved in the order of their Weyl lower bound until no
+    Sectors are visited in the order of their Weyl lower bound until no
     other can hold the ground level, a tie with it or the first excited
-    level (two sectors in a strong field); the result equals that of solving
-    every sector.  ``method`` applies to the solved sectors: "auto" (dense
-    only up to :data:`DENSE_SECTOR_CUTOFF` states, Lanczos above), "dense",
-    or "iterative" (Lanczos from three states up).  A chain with j = 0 is
-    diagonal and needs neither.  Sector ground levels within 1e-12 of a
-    bound on every |level| tie and resolve toward positive magnetization;
-    the partner's magnetization is reported.  Raises
+    level (two sectors in a strong field); on the way, a sector whose
+    half-chain bound already lies above the second level found is skipped.
+    The result equals that of solving every sector.  ``method`` applies to
+    the solved sectors: "auto" (dense only up to :data:`DENSE_SECTOR_CUTOFF`
+    states, Lanczos above), "dense", or "iterative" (Lanczos from three
+    states up, dense when Lanczos breaks down on a sector of at most
+    :data:`DENSE_FALLBACK_CUTOFF` states).  A chain with j = 0 is diagonal
+    and needs neither.  Sector ground levels within 1e-12 of a bound on
+    every |level| tie and resolve toward positive magnetization; the
+    partner's magnetization is reported.  Raises
     :class:`SectorConvergenceError` when a solved sector's eigenpair fails
     its residual check; skipped sectors are never checked.
     """
@@ -350,7 +419,9 @@ def polarization_onset_gamma(
 
     Within each sector gamma only shifts energies by -gamma*(2k - n), so the
     crossing field follows exactly from the gamma-free sector spectra, less
-    the sectors whose Weyl bound caps their crossing below one already found.
+    the sectors whose crossing is capped below one already found: all the
+    remaining ones once the Weyl bound caps them, and single sectors by
+    their half-chain bound.
     """
     spec = ChainSpec(n=n, j=j, jz=jz, gamma=0.0, boundary=boundary)
     return _SectorSpectra(spec, method).onset_gamma()

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pendular.chain as chain_module
@@ -170,19 +170,44 @@ class TestGroundState:
         assert res.magnetization_per_site == 1.0
         assert res.gap == pytest.approx(2 * 0.3, rel=1e-12)
 
-    @pytest.mark.parametrize("solver,method", [("eigsh", "iterative"), ("eigh", "dense")])
-    def test_unconverged_eigenpair_is_rejected(self, monkeypatch, solver, method):
+    @pytest.mark.parametrize(
+        "solver,method,spec,error",
+        [
+            (solver, method, spec, error)
+            for spec, error in [
+                (ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.0), 1e-4),
+                # Molecular couplings (Omega/B = 1e-5, |H| ~ 1e-5): a residual of
+                # about 7e-9 is small in absolute terms but large next to |H|.
+                (ChainSpec(n=12, **chain_constants(moments(10.5), omega=1e-5)._asdict()), 1e-3),
+            ]
+            for solver, method in [("eigsh", "iterative"), ("eigh", "dense")]
+        ],
+        ids=["eigsh-iterative", "eigh-dense", "eigsh-iterative-molecular", "eigh-dense-molecular"],
+    )
+    def test_unconverged_eigenpair_is_rejected(self, monkeypatch, solver, method, spec, error):
         exact = getattr(chain_module, solver)
 
         def perturbed(*args, **kwargs):
             energies, vecs = exact(*args, **kwargs)
             vecs = vecs.copy()
-            vecs[0] += 1e-4
+            vecs[0] += error
             return energies, vecs
 
         monkeypatch.setattr(chain_module, solver, perturbed)
-        with pytest.raises(SectorConvergenceError, match=r"n=6 chain: eigen-residual"):
-            ground_state(ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.0), method=method)
+        with pytest.raises(SectorConvergenceError, match=rf"n={spec.n} chain: eigen-residual"):
+            ground_state(spec, method=method)
+
+    def test_lanczos_with_negligible_flip_flop(self):
+        # Sectors k = 2 and 7 hold a 15-fold level 0 that a j of 1e-133
+        # splits far below rounding; single-vector Lanczos breaks down there.
+        spec = ChainSpec(n=9, j=7.277636563252931e-134, jz=1.0, gamma=0.0)
+        dense = ground_state(spec, method="dense")
+        iterative = ground_state(spec, method="iterative")
+        assert iterative.ground_energy == pytest.approx(dense.ground_energy, abs=1e-10)
+        assert iterative.gap == pytest.approx(dense.gap, abs=1e-10)
+        for k in (2, 7):
+            levels = chain_module._solve_sector(spec, k, "iterative")
+            assert (levels.lowest, levels.second) == pytest.approx((0.0, 0.0), abs=1e-10)
 
     def test_open_periodic_agree_without_couplings(self):
         a = ground_state(ChainSpec(n=6, j=0.0, jz=0.0, gamma=0.7))
@@ -217,6 +242,8 @@ class TestSectorPruning:
         scale=st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=1e3)),
         method=st.sampled_from(["auto", "dense", "iterative"]),
     )
+    @example(n=9, boundary="open", j=7.277636563252931e-134, jz=1.0, gamma=0.0, scale=1.0, method="iterative")
+    @example(n=3, boundary="open", j=2.2250738585e-313, jz=0.0, gamma=0.0, scale=1.0, method="iterative")
     def test_equals_all_sector_solve(self, n, boundary, j, jz, gamma, scale, method):
         spec = ChainSpec(n=n, j=j, jz=jz, gamma=gamma, boundary=boundary)
         expected, onset = all_sectors_ground_state(spec, method)
@@ -239,11 +266,14 @@ class TestSectorPruning:
     def test_floor_bounds_every_sector(self, n, boundary, j, jz):
         spectra = chain_module._SectorSpectra(ChainSpec(n=n, j=j, jz=jz, gamma=0.0, boundary=boundary), "dense")
         # Exact in real arithmetic; a computed level may sit a few ulps
-        # below, far inside the 1e-12 tie margin that pruning keeps.
+        # beyond, far inside the 1e-12 tie margin that pruning keeps.
         rounding = 1e-14 * max(1.0, abs(spectra.floor), abs(spectra.ceil))
         for k in range(n + 1):
             lowest = spectra.sector(k).lowest
             assert spectra.floor - rounding <= lowest <= spectra.ceil + rounding
+            assert spectra.floor - rounding <= spectra.split[k] <= lowest + rounding
+        if n < 4:
+            assert np.all(spectra.split == spectra.floor)
 
     def test_molecular_scan_solves_two_sectors_per_x(self, monkeypatch):
         solve = chain_module._solve_sector
@@ -257,6 +287,22 @@ class TestSectorPruning:
         xs = [1.5, 4.5, 7.5, 10.5]
         phase_diagram(xs, [1e-6, 1e-5, 1e-4], n=12)
         assert calls == [12, 11] * len(xs)
+
+    @pytest.mark.parametrize("x", [7.5, 10.5])
+    def test_molecular_onset_solves_three_sectors(self, monkeypatch, x):
+        # The Weyl cap alone admits sectors 12 down to 7; the half-chain
+        # bound rules out 9 to 7, which include the two Lanczos sectors.
+        solve = chain_module._solve_sector
+        calls = []
+
+        def counted(spec, k, method):
+            calls.append(k)
+            return solve(spec, k, method)
+
+        monkeypatch.setattr(chain_module, "_solve_sector", counted)
+        consts = chain_constants(moments(x), omega=1e-5)
+        polarization_onset_gamma(12, consts.j, consts.jz)
+        assert calls == [12, 11, 10]
 
 
 class TestChainConstants:
