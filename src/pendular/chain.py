@@ -12,12 +12,13 @@ lowest levels and ground vector; every gamma, and in a scan every Omega > 0
 (which multiplies the gamma-free part), is arithmetic on that solve.  A
 sector is skipped when a lower bound on its levels shows that it cannot
 change the result: first Weyl's bound, the bond count times the lowest
-two-site level, the same for every sector; then, only where that fails, the
-half-chain bound of each sector (the lowest level of two open half-chains at
-that total magnetization, plus Weyl's bound on the cut bonds).  Small sectors
-are diagonalized densely, larger ones by Lanczos, and every solved eigenpair
-is checked by its residual against the sector matrix's norm.  The xy part
-acts as a flip-flop of amplitude 2 j on anti-aligned neighbor pairs.
+two-site level, the same for every sector; then, for polarization onsets and
+only where that fails, the half-chain bound of each sector (the lowest level
+of two open half-chains at that total magnetization, plus Weyl's bound on the
+cut bonds).  Small sectors are diagonalized densely, larger ones by Lanczos,
+and every solved eigenpair is checked by its residual against the sector
+matrix's norm.  The xy part acts as a flip-flop of amplitude 2 j on
+anti-aligned neighbor pairs.
 """
 
 from __future__ import annotations
@@ -304,9 +305,9 @@ class _SectorSpectra:
     solve serves every gamma and every positive scale.  A bond term has the
     levels jz, jz and -jz +- 2j, so by Weyl's inequality every lambda_k lies
     in [floor, ceil], the bond count times the lowest and highest of them.
-    The sharper per-sector bound ``split[k]`` is computed on first use, only
-    where ``floor`` cannot rule a sector out.  Observables are computed only
-    for sectors that win, once each.
+    The sharper per-sector bound ``split[k]`` serves ``onset_gamma``; it is
+    computed on first use, only where ``floor`` cannot rule a sector out.
+    Observables are computed only for sectors that win, once each.
     """
 
     def __init__(self, spec: ChainSpec, method: str) -> None:
@@ -364,15 +365,10 @@ class _SectorSpectra:
         levels: list[float] = []
         # Visit sectors by their bound scale * floor - gamma * (2k - n); once it exceeds the
         # second level found by twice the tie tolerance, no other sector can win, tie or set the gap.
-        # A sector whose split bound exceeds it is skipped: levels[1] only falls as sectors are added.
         for k in sorted(range(n + 1), key=lambda k: -gamma * (2 * k - n)):
             shift = -gamma * (2 * k - n)
-            if len(levels) > 1:
-                cut = levels[1] + 2.0 * tol
-                if scale * self.floor + shift > cut:
-                    break
-                if scale * self.split[k] + shift > cut:
-                    continue
+            if len(levels) > 1 and scale * self.floor + shift > levels[1] + 2.0 * tol:
+                break
             s = self.sector(k)
             lowest[k] = scale * s.lowest + shift
             levels = sorted(levels + [scale * e + shift for e in (s.lowest, s.second) if e is not None])
@@ -394,18 +390,16 @@ class _SectorSpectra:
 def ground_state(spec: ChainSpec, method: str = "auto") -> ChainResult:
     """Global ground state across magnetization sectors, with observables.
 
-    Sectors are visited in the order of their Weyl lower bound until no
+    Sectors are solved in the order of their Weyl lower bound until no
     other can hold the ground level, a tie with it or the first excited
-    level (two sectors in a strong field); on the way, a sector whose
-    half-chain bound already lies above the second level found is skipped.
-    The result equals that of solving every sector.  ``method`` applies to
-    the solved sectors: "auto" (dense only up to :data:`DENSE_SECTOR_CUTOFF`
-    states, Lanczos above), "dense", or "iterative" (Lanczos from three
-    states up, dense when Lanczos breaks down on a sector of at most
-    :data:`DENSE_FALLBACK_CUTOFF` states).  A chain with j = 0 is diagonal
-    and needs neither.  Sector ground levels within 1e-12 of a bound on
-    every |level| tie and resolve toward positive magnetization; the
-    partner's magnetization is reported.  Raises
+    level (two sectors in a strong field); the result equals that of solving
+    every sector.  ``method`` applies to the solved sectors: "auto" (dense
+    only up to :data:`DENSE_SECTOR_CUTOFF` states, Lanczos above), "dense",
+    or "iterative" (Lanczos from three states up, dense when Lanczos breaks
+    down on a sector of at most :data:`DENSE_FALLBACK_CUTOFF` states).  A
+    chain with j = 0 is diagonal and needs neither.  Sector ground levels
+    within 1e-12 of a bound on every |level| tie and resolve toward positive
+    magnetization; the partner's magnetization is reported.  Raises
     :class:`SectorConvergenceError` when a solved sector's eigenpair fails
     its residual check; skipped sectors are never checked.
     """
