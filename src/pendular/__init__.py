@@ -8,15 +8,14 @@ constants, fits, and ground-state phase diagrams this package computes.
 __version__ = "0.1.0"
 
 from .chain import (
-    ChainConstants,
     ChainResult,
     ChainSpec,
     Phase,
     PhaseThresholds,
     build_chain_hamiltonian,
-    chain_constants,
     classify_phase,
     ground_state,
+    molecular_chain,
     phase_diagram,
 )
 from .fits import PolyFit, SigmoidFit, fit_gap, fit_moment
@@ -30,17 +29,15 @@ from .pair import (
     vdd_from_first_principles,
     xyz_matrix,
 )
-from .rotor import BasisSpec, PendularSolution, build_stark_hamiltonian, operator_matrix, solve_pendular
-from .units import LabGeometry, MoleculePreset, load_presets, omega_over_b, reduced_field, to_reduced
+from .rotor import BasisSpec, PendularSolution, operator_matrix, solve_pendular
+from .units import MoleculePreset, load_presets, omega_over_b, reduced_field
 
 __all__ = [
     "BasisSpec",
-    "ChainConstants",
     "ChainResult",
     "ChainSpec",
     "CouplingGeometry",
     "HeisenbergConstants",
-    "LabGeometry",
     "MAGIC_ANGLE",
     "MomentSet",
     "MoleculePreset",
@@ -50,8 +47,6 @@ __all__ = [
     "PolyFit",
     "SigmoidFit",
     "build_chain_hamiltonian",
-    "build_stark_hamiltonian",
-    "chain_constants",
     "classify_phase",
     "coefficient_map",
     "fit_gap",
@@ -60,6 +55,7 @@ __all__ = [
     "heisenberg_constants",
     "load_presets",
     "moments",
+    "molecular_chain",
     "omega_over_b",
     "operator_matrix",
     "pair_hamiltonian",
@@ -67,7 +63,6 @@ __all__ = [
     "reduced_field",
     "solve_pendular",
     "stark_map",
-    "to_reduced",
     "vdd_from_first_principles",
     "xyz_matrix",
 ]

@@ -37,6 +37,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .moments import MomentSet, moments
+from .pair import CouplingGeometry, heisenberg_constants
 from .rotor import DEFAULT_J_MAX
 from .tables import Table
 
@@ -61,12 +62,6 @@ class Phase(str, Enum):
 
 class SectorConvergenceError(RuntimeError):
     """Eigensolver failed, or left a large residual, in one magnetization sector."""
-
-
-class ChainConstants(NamedTuple):
-    j: float
-    jz: float
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -129,17 +124,10 @@ class PhaseThresholds:
             raise ValueError(f"min_gap must be non-negative, got {self.min_gap}")
 
 
-def chain_constants(mset: MomentSet, omega: float) -> ChainConstants:
-    """XXZ couplings realized by a field-parallel molecular array."""
-    j = omega * mset.cx**2
-    jz = -omega * (mset.c0 - mset.c1) ** 2 / 2.0
-    gamma = ((mset.e1 - mset.e0) + omega * (mset.c0**2 - mset.c1**2)) / 2.0
-    return ChainConstants(j=j, jz=jz, gamma=gamma)
-
-
-def one_magnon_saturation_gamma(j: float, jz: float) -> float:
-    """Field at which a single spin flip above the polarized state costs zero."""
-    return 2.0 * (j + jz)
+def molecular_chain(mset: MomentSet, omega: float, n: int, boundary: str = "open") -> ChainSpec:
+    """Chain of molecules on an axis along the field: the alpha = 0 pair constants, where jx = jy = j."""
+    hc = heisenberg_constants(mset, CouplingGeometry(omega))
+    return ChainSpec(n=n, j=hc.jy, jz=hc.jz, gamma=hc.gamma, boundary=boundary)
 
 
 @cache
@@ -435,17 +423,14 @@ def _phase_rows(args: tuple) -> list[tuple]:
     """All rows of one x: one moments call and one sector solve at unit Omega."""
     (x, omegas, n, boundary, thresholds, j_max) = args
     mset = moments(x, j_max)
-    unit = chain_constants(mset, 1.0)
-    spectra = _SectorSpectra(
-        ChainSpec(n=n, j=unit.j, jz=unit.jz, gamma=0.0, boundary=boundary), "auto"
-    )
+    spectra = _SectorSpectra(molecular_chain(mset, 1.0, n, boundary), "auto")
     rows = []
     for omega in omegas:
-        consts = chain_constants(mset, omega)
-        result = spectra.ground_state(consts.gamma, scale=omega)
+        spec = molecular_chain(mset, omega, n, boundary)
+        result = spectra.ground_state(spec.gamma, scale=omega)
         phase = classify_phase(result, thresholds)
-        jz_over_j = consts.jz / consts.j if consts.j != 0 else math.nan
-        gamma_over_j = consts.gamma / consts.j if consts.j != 0 else math.nan
+        jz_over_j = spec.jz / spec.j if spec.j != 0 else math.nan
+        gamma_over_j = spec.gamma / spec.j if spec.j != 0 else math.nan
         rows.append((x, omega, jz_over_j, gamma_over_j, phase))
     return rows
 

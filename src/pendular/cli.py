@@ -21,12 +21,11 @@ import numpy as np
 
 from . import __version__
 from .chain import (
-    ChainSpec,
     PhaseThresholds,
     SectorConvergenceError,
-    chain_constants,
     classify_phase,
     ground_state,
+    molecular_chain,
     phase_diagram,
 )
 from .fits import FIT_QUANTITIES, FitError, comparison_table
@@ -34,7 +33,7 @@ from .moments import TruncationError, moment_curves, moments, stark_map
 from .pair import MAGIC_ANGLE, CouplingGeometry, coupling_surface, heisenberg_constants
 from .rotor import DEFAULT_J_MAX, EigensolverError
 from .tables import Table, render
-from .units import PresetError, load_presets, omega_over_b, reduced_field
+from .units import PresetError, find_preset, load_presets, omega_over_b, reduced_field
 
 NUMERIC_ERRORS = (
     EigensolverError,
@@ -92,9 +91,10 @@ def parse_alpha_grid(text: str) -> np.ndarray:
     return np.array([parse_alpha(a) for a in text.split(",") if a.strip()])
 
 
-def _registry(args):
+def _preset(args):
+    """The --molecule preset from --presets, PENDULAR_PRESETS or the packaged file."""
     path = args.presets or os.environ.get("PENDULAR_PRESETS")
-    return load_presets(path)
+    return find_preset(load_presets(path), args.molecule)
 
 
 def _write_output(args, table: Table, metadata: dict | None = None) -> None:
@@ -169,9 +169,12 @@ def _resolve_point(args, parser):
     if args.molecule is not None:
         if args.epsilon is None or args.r is None:
             parser.error("--molecule requires --epsilon and --r")
-        preset = _registry(args).get(args.molecule)
-        x = reduced_field(preset, args.epsilon)
-        omega = omega_over_b(preset, args.r)
+        preset = _preset(args)
+        try:
+            x = reduced_field(preset, args.epsilon)
+            omega = omega_over_b(preset, args.r)
+        except ValueError as exc:
+            parser.error(str(exc))
         units = {
             "molecule": preset.name,
             "mu_debye": preset.mu_debye,
@@ -249,8 +252,7 @@ def cmd_fit(args, parser) -> int:
 def cmd_chain_ed(args, parser) -> int:
     x, omega, units = _resolve_point(args, parser)
     try:
-        consts = chain_constants(moments(x, args.j_max), omega)
-        spec = ChainSpec(n=args.n, j=consts.j, jz=consts.jz, gamma=consts.gamma, boundary=args.boundary)
+        spec = molecular_chain(moments(x, args.j_max), omega, args.n, args.boundary)
     except ValueError as exc:
         parser.error(str(exc))
     result = ground_state(spec)
@@ -279,9 +281,9 @@ def cmd_chain_ed(args, parser) -> int:
                 args.boundary,
                 x,
                 omega,
-                consts.j,
-                consts.jz,
-                consts.gamma,
+                spec.j,
+                spec.jz,
+                spec.gamma,
                 result.ground_energy,
                 result.magnetization_per_site,
                 result.nn_zz_correlation,
@@ -331,9 +333,12 @@ def cmd_phase_diagram(args, parser) -> int:
 def cmd_convert(args, parser) -> int:
     if args.epsilon is None and args.r is None:
         parser.error("give --epsilon and/or --r to convert")
-    preset = _registry(args).get(args.molecule)
-    x = reduced_field(preset, args.epsilon) if args.epsilon is not None else None
-    omega = omega_over_b(preset, args.r) if args.r is not None else None
+    preset = _preset(args)
+    try:
+        x = reduced_field(preset, args.epsilon) if args.epsilon is not None else None
+        omega = omega_over_b(preset, args.r) if args.r is not None else None
+    except ValueError as exc:
+        parser.error(str(exc))
     table = Table(
         schema="convert.v1",
         columns=("molecule", "mu_debye", "b_cm1", "epsilon_kv_cm", "x", "r_nm", "omega_over_b"),
@@ -412,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--boundary", choices=("open", "periodic"), default="open")
     p.add_argument("--fm-threshold", type=float, default=0.99, help="|magnetization| for the polarized label")
-    p.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=positive_int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_phase_diagram)
 

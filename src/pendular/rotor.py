@@ -167,21 +167,6 @@ def _stark_eigh(x: float, m: int, j_max: int) -> tuple[NDArray[np.float64], NDAr
     return energies, vecs
 
 
-def build_stark_hamiltonian(x: float, spec: BasisSpec) -> NDArray[np.float64]:
-    """Stark Hamiltonian J(J+1) - x*cos(theta) in one m block, units of B.
-
-    Returns the full symmetric tridiagonal matrix; diagonal J(J+1),
-    first off-diagonals -x*<J+1,m|cos(theta)|J,m>.
-    """
-    diag, off = _tridiagonal_elements(x, spec.m, spec.j_max)
-    h = np.diag(diag)
-    if off.size:
-        idx = np.arange(off.size)
-        h[idx, idx + 1] = off
-        h[idx + 1, idx] = off
-    return h
-
-
 def solve_pendular(x: float, spec: BasisSpec) -> PendularSolution:
     """Diagonalize one m block of the Stark Hamiltonian at reduced field x."""
     energies, vecs = _stark_eigh(x, spec.m, spec.j_max)

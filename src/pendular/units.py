@@ -1,4 +1,4 @@
-"""Laboratory units to reduced variables, plus the molecule preset registry.
+"""Laboratory units to reduced variables, plus the molecule presets.
 
 The two conversion constants are derived here, once, from unit definitions
 (1 D = 1e-21/c C m; field in kV/cm = 1e5 V/m; rotational constants quoted
@@ -45,26 +45,23 @@ class MoleculePreset:
     b_cm1: float
 
     def __post_init__(self) -> None:
-        if self.mu_debye <= 0:
-            raise PresetError(f"{self.name}: dipole moment must be positive, got {self.mu_debye}")
-        if self.b_cm1 <= 0:
-            raise PresetError(f"{self.name}: rotational constant must be positive, got {self.b_cm1}")
+        if not (math.isfinite(self.mu_debye) and self.mu_debye > 0):
+            raise PresetError(f"{self.name}: dipole moment must be positive and finite, got {self.mu_debye}")
+        if not (math.isfinite(self.b_cm1) and self.b_cm1 > 0):
+            raise PresetError(f"{self.name}: rotational constant must be positive and finite, got {self.b_cm1}")
 
 
 def reduced_field(preset: MoleculePreset, epsilon_kv_cm: float) -> float:
     """x = mu * eps / B for a lab field strength in kV/cm."""
+    if not (math.isfinite(epsilon_kv_cm) and epsilon_kv_cm >= 0):
+        raise ValueError(f"field strength must be finite and non-negative, got {epsilon_kv_cm}")
     return STARK_RATIO * preset.mu_debye * epsilon_kv_cm / preset.b_cm1
-
-
-def epsilon_for_x(preset: MoleculePreset, x: float) -> float:
-    """Inverse of :func:`reduced_field`: field in kV/cm producing reduced field x."""
-    return x * preset.b_cm1 / (STARK_RATIO * preset.mu_debye)
 
 
 def omega_cm1(preset: MoleculePreset, r_nm: float) -> float:
     """Dipole-dipole scale mu^2/r^3 in cm^-1 at separation r (nm)."""
-    if r_nm <= 0:
-        raise ValueError(f"separation must be positive, got {r_nm}")
+    if not (math.isfinite(r_nm) and r_nm > 0):
+        raise ValueError(f"separation must be finite and positive, got {r_nm}")
     return DIPOLE_COUPLING_CM1 * preset.mu_debye**2 / r_nm**3
 
 
@@ -73,47 +70,12 @@ def omega_over_b(preset: MoleculePreset, r_nm: float) -> float:
     return omega_cm1(preset, r_nm) / preset.b_cm1
 
 
-@dataclass(frozen=True)
-class LabGeometry:
-    """Laboratory arrangement: field strength (kV/cm), spacing (nm), tilt (rad)."""
-
-    epsilon: float
-    r: float
-    alpha: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError(f"field strength must be non-negative, got {self.epsilon}")
-        if self.r <= 0:
-            raise ValueError(f"separation must be positive, got {self.r}")
-
-
-def to_reduced(preset: MoleculePreset, lab: LabGeometry) -> tuple[float, float, float]:
-    """(x, Omega/B, alpha) for a molecule in a laboratory arrangement."""
-    return reduced_field(preset, lab.epsilon), omega_over_b(preset, lab.r), lab.alpha
-
-
-class PresetRegistry:
-    """Immutable name -> preset lookup with deterministic listing."""
-
-    def __init__(self, presets: dict[str, MoleculePreset]):
-        self._presets = dict(presets)
-
-    def get(self, name: str) -> MoleculePreset:
-        try:
-            return self._presets[name]
-        except KeyError:
-            available = ", ".join(self.names())
-            raise PresetError(f"unknown molecule {name!r}; available: {available}") from None
-
-    def names(self) -> list[str]:
-        return sorted(self._presets)
-
-    def __len__(self) -> int:
-        return len(self._presets)
-
-    def __iter__(self):
-        return (self._presets[k] for k in self.names())
+def find_preset(presets: dict[str, MoleculePreset], name: str) -> MoleculePreset:
+    """The preset called ``name``; a :class:`PresetError` lists the available names."""
+    try:
+        return presets[name]
+    except KeyError:
+        raise PresetError(f"unknown molecule {name!r}; available: {', '.join(sorted(presets))}") from None
 
 
 def _default_presets_text() -> tuple[str, str]:
@@ -121,8 +83,8 @@ def _default_presets_text() -> tuple[str, str]:
     return ref.read_text(encoding="utf-8"), str(ref)
 
 
-def load_presets(path: str | Path | None = None) -> PresetRegistry:
-    """Load molecule presets from an INI file (one section per molecule).
+def load_presets(path: str | Path | None = None) -> dict[str, MoleculePreset]:
+    """Load molecule presets from an INI file (one section per molecule), keyed in name order.
 
     Each section needs ``mu_debye`` and ``b_cm1``.  Duplicate names and
     malformed entries raise :class:`PresetError` with file/line context.
@@ -153,4 +115,4 @@ def load_presets(path: str | Path | None = None) -> PresetRegistry:
                     f"{source}: molecule {name!r} field {key!r} is not a number: {section[key]!r}"
                 ) from exc
         presets[name] = MoleculePreset(name=name, **values)
-    return PresetRegistry(presets)
+    return {name: presets[name] for name in sorted(presets)}

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: matrix
 elements come from brute-force spherical quadrature, derivatives from
 central differences, XX-chain energies from the free-fermion mapping, the
 pseudo-spin moments from the public full-spectrum solver, and chain ground
-states from every magnetization sector, with no pruning.
+states from every magnetization sector, with no pruning.  The dense Stark
+matrix is the library's own tridiagonal written out in full, so that scipy's
+checked solver and the element tests can read it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,22 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import sph_harm_y
 
-from pendular.rotor import BasisSpec, build_stark_hamiltonian, operator_matrix, solve_pendular
+from pendular.rotor import BasisSpec, _tridiagonal_elements, operator_matrix, solve_pendular
+
+
+def build_stark_hamiltonian(x: float, spec: BasisSpec) -> np.ndarray:
+    """Stark Hamiltonian J(J+1) - x*cos(theta) in one m block, units of B.
+
+    Returns the full symmetric tridiagonal matrix; diagonal J(J+1),
+    first off-diagonals -x*<J+1,m|cos(theta)|J,m>.
+    """
+    diag, off = _tridiagonal_elements(x, spec.m, spec.j_max)
+    h = np.diag(diag)
+    if off.size:
+        idx = np.arange(off.size)
+        h[idx, idx + 1] = off
+        h[idx + 1, idx] = off
+    return h
 
 
 def _grids(n_theta: int = 64, n_phi: int = 64):
@@ -150,6 +167,11 @@ def xx_open_chain_ground_energy(n: int, j: float) -> float:
 def xx_open_chain_gap(n: int, j: float) -> float:
     modes = xx_open_chain_modes(n, j)
     return float(np.abs(modes).min())
+
+
+def one_magnon_saturation_gamma(j: float, jz: float) -> float:
+    """Field at which a single spin flip above the polarized state costs zero."""
+    return 2.0 * (j + jz)
 
 
 def two_site_spectrum(j: float, jz: float, gamma: float) -> np.ndarray:

@@ -13,10 +13,9 @@ import pytest
 from pendular.chain import (
     ChainSpec,
     Phase,
-    chain_constants,
     classify_phase,
     ground_state,
-    one_magnon_saturation_gamma,
+    molecular_chain,
     polarization_onset_gamma,
 )
 from pendular.fits import (
@@ -39,7 +38,7 @@ from pendular.pair import (
 from pendular.rotor import BasisSpec, solve_pendular
 from pendular.units import load_presets, reduced_field
 
-from oracles import two_site_spectrum
+from oracles import one_magnon_saturation_gamma, two_site_spectrum
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> bool:
@@ -248,11 +247,10 @@ def test_criterion_10_weak_coupling_ferromagnet():
     for x in range(1, 13):
         mset = moments(float(x))
         for omega in (1e-6, 1e-5, 1e-4):
-            consts = chain_constants(mset, omega)
-            spec = ChainSpec(n=10, j=consts.j, jz=consts.jz, gamma=consts.gamma)
+            spec = molecular_chain(mset, omega, n=10)
             result = ground_state(spec)
             phase = classify_phase(result)
-            min_ratio = min(min_ratio, consts.gamma / consts.j)
+            min_ratio = min(min_ratio, spec.gamma / spec.j)
             min_overlap = min(min_overlap, result.ground_overlap_polarized)
             all_fm = all_fm and (phase is Phase.FERROMAGNETIC)
     ok = min_ratio > 1e4 and all_fm and min_overlap >= 0.999

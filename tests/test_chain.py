@@ -13,10 +13,9 @@ from pendular.chain import (
     PhaseThresholds,
     SectorConvergenceError,
     build_chain_hamiltonian,
-    chain_constants,
     classify_phase,
     ground_state,
-    one_magnon_saturation_gamma,
+    molecular_chain,
     phase_diagram,
     polarization_onset_gamma,
 )
@@ -25,6 +24,7 @@ from pendular.moments import moments
 from oracles import (
     all_sectors_ground_state,
     full_space_ground,
+    one_magnon_saturation_gamma,
     two_site_spectrum,
     xx_open_chain_gap,
     xx_open_chain_ground_energy,
@@ -178,7 +178,7 @@ class TestGroundState:
                 (ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.0), 1e-4),
                 # Molecular couplings (Omega/B = 1e-5, |H| ~ 1e-5): a residual of
                 # about 7e-9 is small in absolute terms but large next to |H|.
-                (ChainSpec(n=12, **chain_constants(moments(10.5), omega=1e-5)._asdict()), 1e-3),
+                (molecular_chain(moments(10.5), 1e-5, n=12), 1e-3),
             ]
             for solver, method in [("eigsh", "iterative"), ("eigh", "dense")]
         ],
@@ -216,9 +216,7 @@ class TestGroundState:
         assert a.magnetization_per_site == b.magnetization_per_site
 
     def test_weak_coupling_molecular_chain_is_polarized(self):
-        consts = chain_constants(moments(6.0), omega=1e-4)
-        spec = ChainSpec(n=10, j=consts.j, jz=consts.jz, gamma=consts.gamma)
-        res = ground_state(spec)
+        res = ground_state(molecular_chain(moments(6.0), 1e-4, n=10))
         assert res.ground_overlap_polarized >= 0.999
 
     def test_neel_state_observables(self):
@@ -300,8 +298,8 @@ class TestSectorPruning:
             return solve(spec, k, method)
 
         monkeypatch.setattr(chain_module, "_solve_sector", counted)
-        consts = chain_constants(moments(x), omega=1e-5)
-        polarization_onset_gamma(12, consts.j, consts.jz)
+        spec = molecular_chain(moments(x), 1e-5, n=12)
+        polarization_onset_gamma(12, spec.j, spec.jz)
         assert calls == [12, 11, 10]
 
 
@@ -309,7 +307,8 @@ class TestChainConstants:
     def test_formulas(self):
         m = moments(5.0)
         omega = 2e-4
-        c = chain_constants(m, omega)
+        c = molecular_chain(m, omega, n=6, boundary="periodic")
+        assert (c.n, c.boundary) == (6, "periodic")
         assert c.j == pytest.approx(omega * m.cx**2, rel=1e-14)
         assert c.jz == pytest.approx(-omega * (m.c0 - m.c1) ** 2 / 2, rel=1e-14)
         assert c.gamma == pytest.approx((m.delta_e + omega * (m.c0**2 - m.c1**2)) / 2, rel=1e-14)
@@ -442,8 +441,8 @@ class TestPhaseDiagram:
         for x in xs:
             mset = moments(x)
             for omega in omegas:
-                c = chain_constants(mset, omega)
-                res = ground_state(ChainSpec(n=6, j=c.j, jz=c.jz, gamma=c.gamma, boundary="periodic"))
+                c = molecular_chain(mset, omega, n=6, boundary="periodic")
+                res = ground_state(c)
                 ratios = (c.jz / c.j, c.gamma / c.j) if c.j != 0 else (math.nan, math.nan)
                 expected.append((x, omega, *ratios, classify_phase(res)))
         np.testing.assert_equal(table.rows, expected)

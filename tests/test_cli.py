@@ -202,9 +202,17 @@ class TestPhaseDiagram:
         assert payload["metadata"]["n"] == 4
         assert payload["metadata"]["thresholds"]["magnetization"] == 0.99
 
+    def test_one_process_by_default(self, cli, tmp_path):
+        out = tmp_path / "phase.csv"
+        proc = cli("phase-diagram", "--x-grid", "4", "--omega-grid", "1e-5", "--n", "4", "--out", str(out))
+        assert proc.returncode == 0
+        manifest = json.loads((tmp_path / "phase.csv.manifest.json").read_text())
+        assert manifest["parameters"]["workers"] == 1
+
 
 class TestRejectedChainInputs:
-    """Bad scan points, thresholds and worker counts are usage errors (exit 2), caught before any solve."""
+    """Bad scan points, lab inputs, thresholds and worker counts are usage errors (exit 2), caught
+    before any solve."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -220,6 +228,9 @@ class TestRejectedChainInputs:
             ["chain-ed", "--x=-1", "--omega", "1e-4"],
             ["chain-ed", "--x", "6", "--omega", "inf"],
             ["chain-ed", "--x", "6", "--omega", "nan"],
+            ["chain-ed", "--x", "6", "--omega=-1e-4"],
+            ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "0"],
+            ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "inf"],
             ["phase-diagram", "--fm-threshold", "nan"],
             ["phase-diagram", "--workers", "0"],
             ["phase-diagram", "--workers=-2"],
@@ -236,6 +247,9 @@ class TestRejectedChainInputs:
             "chain-ed-x-negative",
             "chain-ed-omega-inf",
             "chain-ed-omega-nan",
+            "chain-ed-omega-negative",
+            "chain-ed-r-zero",
+            "chain-ed-r-inf",
             "phase-diagram-fm-threshold-nan",
             "phase-diagram-workers-zero",
             "phase-diagram-workers-negative",
@@ -251,8 +265,8 @@ class TestRejectedChainInputs:
 
 
 class TestRejectedMomentInputs:
-    """Non-finite fields, couplings and axes, bad cutoffs, too few fit samples and too small a
-    basis are usage errors (exit 2)."""
+    """Non-finite fields, couplings and axes, bad lab fields and separations, bad cutoffs, too few
+    fit samples and too small a basis are usage errors (exit 2)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -275,6 +289,13 @@ class TestRejectedMomentInputs:
             ["fit", "--quantity", "gap", "--x-max", "nan"],
             ["fit", "--quantity", "c0", "--x-step", "5"],
             ["stark-map", "--m", "0,1,2,3,4", "--j-max", "2"],
+            ["convert", "--molecule", "SrO", "--epsilon=-5"],
+            ["convert", "--molecule", "SrO", "--epsilon", "nan"],
+            ["convert", "--molecule", "SrO", "--r", "0"],
+            ["convert", "--molecule", "SrO", "--r", "nan"],
+            ["convert", "--molecule", "SrO", "--r", "inf"],
+            ["couplings", "--molecule", "SrO", "--epsilon", "13.5", "--r", "0"],
+            ["couplings", "--molecule", "SrO", "--epsilon", "13.5", "--r", "inf"],
         ],
         ids=[
             "couplings-omega-nan",
@@ -295,6 +316,13 @@ class TestRejectedMomentInputs:
             "fit-x-max-nan",
             "fit-too-few-samples",
             "stark-map-m-above-j-max",
+            "convert-epsilon-negative",
+            "convert-epsilon-nan",
+            "convert-r-zero",
+            "convert-r-nan",
+            "convert-r-inf",
+            "couplings-r-zero",
+            "couplings-r-inf",
         ],
     )
     def test_usage_error(self, argv, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pendular.chain import chain_constants
+from pendular.chain import molecular_chain
 from pendular.moments import moments
 from pendular.pair import (
     MAGIC_ANGLE,
@@ -201,13 +201,12 @@ class TestHeisenbergConstants:
         assert hc.jz / hc.jy == pytest.approx(-1.0, abs=0.05)
 
     def test_alpha_zero_reduces_to_chain_constants(self):
-        m = moments(7.0)
-        omega = 3e-4
-        hc = heisenberg_constants(m, CouplingGeometry(omega=omega, alpha=0.0))
-        cc = chain_constants(m, omega)
-        assert hc.jy == pytest.approx(cc.j, rel=1e-14)
-        assert hc.jz == pytest.approx(cc.jz, rel=1e-14)
-        assert hc.gamma == pytest.approx(cc.gamma, rel=1e-14)
+        for x, omega in ((0.0, 1e-5), (3.0, 3e-4), (7.0, 1.0), (11.5, 20.0)):
+            m = moments(x)
+            hc = heisenberg_constants(m, CouplingGeometry(omega=omega, alpha=0.0))
+            spec = molecular_chain(m, omega, n=4)
+            assert hc.jx == hc.jy
+            assert (spec.j, spec.jz, spec.gamma) == (hc.jy, hc.jz, hc.gamma)
 
 
 class TestCouplingSurface:

@@ -9,12 +9,11 @@ from pendular.rotor import (
     BasisSpec,
     EigensolverError,
     _stark_eigh,
-    build_stark_hamiltonian,
     operator_matrix,
     solve_pendular,
 )
 
-from oracles import central_difference, checked_tridiagonal_solve, quad_operator_matrix
+from oracles import build_stark_hamiltonian, central_difference, checked_tridiagonal_solve, quad_operator_matrix
 
 
 class TestStarkHamiltonian:

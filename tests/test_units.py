@@ -5,15 +5,13 @@ import pytest
 from pendular.units import (
     DIPOLE_COUPLING_CM1,
     STARK_RATIO,
-    LabGeometry,
     MoleculePreset,
     PresetError,
-    epsilon_for_x,
+    find_preset,
     load_presets,
     omega_cm1,
     omega_over_b,
     reduced_field,
-    to_reduced,
 )
 
 
@@ -46,9 +44,8 @@ class TestConversions:
     def test_round_trip(self):
         preset = MoleculePreset(name="m", mu_debye=4.2, b_cm1=0.21)
         for eps in (0.1, 1.0, 13.5, 250.0):
-            assert epsilon_for_x(preset, reduced_field(preset, eps)) == pytest.approx(
-                eps, rel=1e-12
-            )
+            x = reduced_field(preset, eps)
+            assert x * preset.b_cm1 / (STARK_RATIO * preset.mu_debye) == pytest.approx(eps, rel=1e-12)
 
     def test_cubic_law(self, unit_molecule):
         assert omega_over_b(unit_molecule, 2.0) == pytest.approx(
@@ -56,30 +53,19 @@ class TestConversions:
         )
 
     def test_rejects_nonpositive_distance(self, unit_molecule):
-        with pytest.raises(ValueError):
-            omega_cm1(unit_molecule, 0.0)
+        for r in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="separation"):
+                omega_cm1(unit_molecule, r)
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_field(self, unit_molecule, eps):
+        with pytest.raises(ValueError, match="field strength"):
+            reduced_field(unit_molecule, eps)
 
     def test_invalid_preset_values(self):
-        with pytest.raises(PresetError):
-            MoleculePreset(name="bad", mu_debye=-1.0, b_cm1=0.1)
-        with pytest.raises(PresetError):
-            MoleculePreset(name="bad", mu_debye=1.0, b_cm1=0.0)
-
-
-class TestLabGeometry:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LabGeometry(epsilon=-1.0, r=500.0)
-        with pytest.raises(ValueError):
-            LabGeometry(epsilon=1.0, r=0.0)
-
-    def test_to_reduced(self):
-        sro = load_presets().get("SrO")
-        lab = LabGeometry(epsilon=13.5, r=500.0, alpha=0.25)
-        x, omega, alpha = to_reduced(sro, lab)
-        assert x == pytest.approx(reduced_field(sro, 13.5), rel=1e-15)
-        assert omega == pytest.approx(omega_over_b(sro, 500.0), rel=1e-15)
-        assert alpha == 0.25
+        for mu, b in ((-1.0, 0.1), (1.0, 0.0), (math.nan, 0.1), (1.0, math.inf), (math.inf, 0.1)):
+            with pytest.raises(PresetError):
+                MoleculePreset(name="bad", mu_debye=mu, b_cm1=b)
 
 
 class TestSrOAnchor:
@@ -105,14 +91,13 @@ class TestRegistry:
         assert sro.mu_debye > 0 and sro.b_cm1 > 0
 
     def test_names_sorted(self):
-        reg = load_presets()
-        assert reg.names() == sorted(reg.names())
-        assert len(reg) == len(reg.names())
+        presets = load_presets()
+        assert list(presets) == sorted(presets)
+        assert all(preset.name == name for name, preset in presets.items())
 
     def test_unknown_name_lists_available(self):
-        reg = load_presets()
-        with pytest.raises(PresetError, match="SrO"):
-            reg.get("XeF")
+        with pytest.raises(PresetError, match="available: .*SrO"):
+            find_preset(load_presets(), "XeF")
 
     def test_duplicate_sections_rejected(self, tmp_path):
         bad = tmp_path / "dup.ini"
@@ -132,6 +117,12 @@ class TestRegistry:
         with pytest.raises(PresetError, match="mu_debye"):
             load_presets(bad)
 
+    def test_non_finite_field_rejected(self, tmp_path):
+        bad = tmp_path / "inf.ini"
+        bad.write_text("[KCl]\nmu_debye = nan\nb_cm1 = inf\n")
+        with pytest.raises(PresetError, match="KCl"):
+            load_presets(bad)
+
     def test_malformed_file_rejected(self, tmp_path):
         bad = tmp_path / "broken.ini"
         bad.write_text("mu_debye = 8.9\n")
@@ -147,5 +138,5 @@ class TestRegistry:
     def test_iteration_order(self, tmp_path):
         good = tmp_path / "two.ini"
         good.write_text("[B]\nmu_debye=1\nb_cm1=1\n[A]\nmu_debye=2\nb_cm1=2\n")
-        names = [p.name for p in load_presets(good)]
+        names = [p.name for p in load_presets(good).values()]
         assert names == ["A", "B"]
