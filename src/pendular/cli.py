@@ -1,8 +1,9 @@
 """Command-line drivers emitting machine-readable scan data.
 
 Every subcommand is a thin wrapper over one library operation; output goes
-to --out (with a JSON run manifest written next to it) or stdout.  Exit
-codes: 0 success, 1 numeric failure, 2 usage error (including a --j-max
+to --out (with a JSON run manifest written next to it) or stdout.  Only
+main() maps errors to exit codes: 0 success, 1 numeric failure (an exception
+in NUMERIC_ERRORS), 2 usage error (any other ValueError, such as a --j-max
 too small for the requested field).
 """
 
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,19 +31,20 @@ from .chain import (
     phase_diagram,
 )
 from .fits import FIT_QUANTITIES, FitError, comparison_table
-from .moments import TruncationError, moment_curves, moments, stark_map
+from .moments import moment_curves, moments, stark_map
 from .pair import MAGIC_ANGLE, CouplingGeometry, coupling_surface, heisenberg_constants
 from .rotor import DEFAULT_J_MAX, EigensolverError
 from .tables import Table, render
 from .units import PresetError, find_preset, load_presets, omega_over_b, reduced_field
 
+# PresetError and numpy's LinAlgError are ValueErrors, so main() tests this tuple first.
 NUMERIC_ERRORS = (
+    PresetError,
     EigensolverError,
     SectorConvergenceError,
     FitError,
-    PresetError,
+    np.linalg.LinAlgError,
     ArithmeticError,
-    ValueError,
 )
 
 
@@ -137,29 +140,17 @@ def _check_x_axis(args, parser) -> None:
 def cmd_stark_map(args, parser) -> int:
     _check_x_axis(args, parser)
     xs = np.round(np.arange(0.0, args.x_max + args.x_step / 2, args.x_step), 12)
-    try:
-        m_values = tuple(int(m) for m in args.m.split(","))
-        table = stark_map(xs, m_values=m_values, n_states=args.n_states, j_max=args.j_max)
-    except ValueError as exc:
-        parser.error(str(exc))
+    m_values = tuple(int(m) for m in args.m.split(","))
+    table = stark_map(xs, m_values=m_values, n_states=args.n_states, j_max=args.j_max)
     _write_output(args, table)
     return 0
 
 
 def cmd_moments(args, parser) -> int:
-    try:
-        curves = moment_curves(parse_grid(args.x_grid), args.j_max)
-    except ValueError as exc:
-        parser.error(str(exc))
-    rows = [
-        tuple(float(curves[key][i]) for key in ("x", "e0", "e1", "delta_e", "c0", "c1", "cx"))
-        for i in range(len(curves["x"]))
-    ]
-    table = Table(
-        schema="moments.v1",
-        columns=("x", "e0", "e1", "delta_e", "c0", "c1", "cx"),
-        rows=rows,
-    )
+    curves = moment_curves(parse_grid(args.x_grid), args.j_max)
+    columns = ("x", "e0", "e1", "delta_e", "c0", "c1", "cx")
+    rows = [tuple(float(curves[key][i]) for key in columns) for i in range(len(curves["x"]))]
+    table = Table(schema="moments.v1", columns=columns, rows=rows)
     _write_output(args, table)
     return 0
 
@@ -170,11 +161,8 @@ def _resolve_point(args, parser):
         if args.epsilon is None or args.r is None:
             parser.error("--molecule requires --epsilon and --r")
         preset = _preset(args)
-        try:
-            x = reduced_field(preset, args.epsilon)
-            omega = omega_over_b(preset, args.r)
-        except ValueError as exc:
-            parser.error(str(exc))
+        x = reduced_field(preset, args.epsilon)
+        omega = omega_over_b(preset, args.r)
         units = {
             "molecule": preset.name,
             "mu_debye": preset.mu_debye,
@@ -191,58 +179,29 @@ def _resolve_point(args, parser):
 def cmd_couplings(args, parser) -> int:
     x, omega, units = _resolve_point(args, parser)
     alpha = parse_alpha(args.alpha)
-    try:
-        mset = moments(x, args.j_max)
-        hc = heisenberg_constants(mset, CouplingGeometry(omega=omega, alpha=alpha))
-    except ValueError as exc:
-        parser.error(str(exc))
+    hc = heisenberg_constants(moments(x, args.j_max), CouplingGeometry(omega=omega, alpha=alpha))
     jz_over_jy = hc.jz / hc.jy if hc.jy != 0 else math.nan
     gamma_over_jy = hc.gamma / hc.jy if hc.jy != 0 else math.nan
+    constants = asdict(hc)
     table = Table(
         schema="couplings.v1",
-        columns=(
-            "x",
-            "omega_over_b",
-            "alpha_rad",
-            "jx",
-            "jy",
-            "jz",
-            "gamma",
-            "shift",
-            "jz_over_jy",
-            "gamma_over_jy",
-        ),
-        rows=[(x, omega, alpha, hc.jx, hc.jy, hc.jz, hc.gamma, hc.shift, jz_over_jy, gamma_over_jy)],
+        columns=("x", "omega_over_b", "alpha_rad", *constants, "jz_over_jy", "gamma_over_jy"),
+        rows=[(x, omega, alpha, *constants.values(), jz_over_jy, gamma_over_jy)],
     )
     _write_output(args, table, metadata={"units": units} if units else None)
     return 0
 
 
 def cmd_coupling_grid(args, parser) -> int:
-    try:
-        xs = parse_grid(args.x_grid)
-        alphas = parse_alpha_grid(args.alpha_grid)
-        table = coupling_surface(xs, alphas, j_max=args.j_max)
-    except ValueError as exc:
-        parser.error(str(exc))
+    table = coupling_surface(parse_grid(args.x_grid), parse_alpha_grid(args.alpha_grid), j_max=args.j_max)
     _write_output(args, table)
     return 0
 
 
 def cmd_fit(args, parser) -> int:
     _check_x_axis(args, parser)
-    try:
-        table, fit = comparison_table(args.quantity, x_max=args.x_max, step=args.x_step, j_max=args.j_max)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.quantity == "gap":
-        fit_meta = {"coefficients": list(fit.coefficients), "r_squared": fit.r_squared}
-    else:
-        fit_meta = {
-            "params": list(fit.params),
-            "r_squared": fit.r_squared,
-            "converged": fit.converged,
-        }
+    table, fit = comparison_table(args.quantity, x_max=args.x_max, step=args.x_step, j_max=args.j_max)
+    fit_meta = asdict(fit)
     if args.format == "csv":
         sys.stderr.write(json.dumps({"fit": fit_meta}, indent=None) + "\n")
     _write_output(args, table, metadata={"fit": fit_meta})
@@ -251,10 +210,7 @@ def cmd_fit(args, parser) -> int:
 
 def cmd_chain_ed(args, parser) -> int:
     x, omega, units = _resolve_point(args, parser)
-    try:
-        spec = molecular_chain(moments(x, args.j_max), omega, args.n, args.boundary)
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = molecular_chain(moments(x, args.j_max), omega, args.n, args.boundary)
     result = ground_state(spec)
     phase = classify_phase(result)
     table = Table(
@@ -299,33 +255,17 @@ def cmd_chain_ed(args, parser) -> int:
 
 
 def cmd_phase_diagram(args, parser) -> int:
-    try:
-        xs = parse_grid(args.x_grid)
-        omegas = parse_grid(args.omega_grid)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        thresholds = PhaseThresholds(magnetization=args.fm_threshold)
-        table = phase_diagram(
-            xs,
-            omegas,
-            n=args.n,
-            boundary=args.boundary,
-            thresholds=thresholds,
-            j_max=args.j_max,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    meta = {
-        "n": args.n,
-        "boundary": args.boundary,
-        "thresholds": {
-            "magnetization": thresholds.magnetization,
-            "staggered": thresholds.staggered,
-            "min_gap": thresholds.min_gap,
-        },
-    }
+    thresholds = PhaseThresholds(magnetization=args.fm_threshold)
+    table = phase_diagram(
+        parse_grid(args.x_grid),
+        parse_grid(args.omega_grid),
+        n=args.n,
+        boundary=args.boundary,
+        thresholds=thresholds,
+        j_max=args.j_max,
+        workers=args.workers,
+    )
+    meta = {"n": args.n, "boundary": args.boundary, "thresholds": asdict(thresholds)}
     _write_output(args, table, metadata=meta)
     return 0
 
@@ -334,11 +274,8 @@ def cmd_convert(args, parser) -> int:
     if args.epsilon is None and args.r is None:
         parser.error("give --epsilon and/or --r to convert")
     preset = _preset(args)
-    try:
-        x = reduced_field(preset, args.epsilon) if args.epsilon is not None else None
-        omega = omega_over_b(preset, args.r) if args.r is not None else None
-    except ValueError as exc:
-        parser.error(str(exc))
+    x = reduced_field(preset, args.epsilon) if args.epsilon is not None else None
+    omega = omega_over_b(preset, args.r) if args.r is not None else None
     table = Table(
         schema="convert.v1",
         columns=("molecule", "mu_debye", "b_cm1", "epsilon_kv_cm", "x", "r_nm", "omega_over_b"),
@@ -436,11 +373,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except TruncationError as exc:
-        parser.error(str(exc))
     except NUMERIC_ERRORS as exc:
         sys.stderr.write(f"pendular: error: {exc}\n")
         return 1
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

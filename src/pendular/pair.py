@@ -158,6 +158,10 @@ def heisenberg_constants(mset: MomentSet, geom: CouplingGeometry) -> HeisenbergC
     jz = w * (1.0 - cos2) * (c0 - c1) ** 2 / 4.0
     gamma = (2.0 * (mset.e1 - mset.e0) + w * (cos2 - 1.0) * (c0 * c0 - c1 * c1)) / 4.0
     shift = mset.e0 + mset.e1 + w * geom.p_alpha * (c0 + c1) ** 2 / 4.0
+    if not all(map(math.isfinite, (jx, jy, jz, gamma, shift))):
+        raise ValueError(
+            f"omega={w} overflows the model constants: jx={jx}, jy={jy}, jz={jz}, gamma={gamma}, shift={shift}"
+        )
     return HeisenbergConstants(jx=jx, jy=jy, jz=jz, gamma=gamma, shift=shift)
 
 

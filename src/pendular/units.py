@@ -60,9 +60,13 @@ def reduced_field(preset: MoleculePreset, epsilon_kv_cm: float) -> float:
 
 def omega_cm1(preset: MoleculePreset, r_nm: float) -> float:
     """Dipole-dipole scale mu^2/r^3 in cm^-1 at separation r (nm)."""
-    if not (math.isfinite(r_nm) and r_nm > 0):
-        raise ValueError(f"separation must be finite and positive, got {r_nm}")
-    return DIPOLE_COUPLING_CM1 * preset.mu_debye**2 / r_nm**3
+    try:
+        scale = DIPOLE_COUPLING_CM1 * preset.mu_debye**2 / r_nm**3
+    except ArithmeticError:  # r^3 overflows, or underflows to zero
+        scale = math.nan
+    if not 0 < scale < math.inf:
+        raise ValueError(f"separation must be positive with a finite nonzero mu^2/r^3, got {r_nm}")
+    return scale
 
 
 def omega_over_b(preset: MoleculePreset, r_nm: float) -> float:
@@ -93,7 +97,10 @@ def load_presets(path: str | Path | None = None) -> dict[str, MoleculePreset]:
         text, source = _default_presets_text()
     else:
         source = str(path)
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PresetError(f"{source}: cannot read presets file: {exc}") from exc
     parser = configparser.ConfigParser(strict=True)
     try:
         parser.read_string(text, source=source)

@@ -383,6 +383,15 @@ class TestClassification:
         onset = polarization_onset_gamma(n=12, j=j, jz=jz)
         assert onset == pytest.approx(oracle, rel=0.2)
 
+    @pytest.mark.parametrize("j", [1.0, 3.7e-6], ids=["unit-j", "molecular-j"])
+    @pytest.mark.parametrize("jz_over_j", [-0.9, -0.5, 0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_ring_onset_is_the_one_magnon_line(self, n, jz_over_j, j):
+        # Every ring site has two bonds, so the one-magnon band edge is the onset exactly.
+        jz = jz_over_j * j
+        onset = polarization_onset_gamma(n=n, j=j, jz=jz, boundary="periodic")
+        assert abs(onset - one_magnon_saturation_gamma(j, jz)) <= 1e-12 * abs(j)
+
     def test_onset_matches_direct_scan(self):
         # Crossing formula agrees with explicitly diagonalizing at gamma
         # slightly below/above the onset.

@@ -231,6 +231,7 @@ class TestRejectedChainInputs:
             ["chain-ed", "--x", "6", "--omega=-1e-4"],
             ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "0"],
             ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "inf"],
+            ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "1e-110"],
             ["phase-diagram", "--fm-threshold", "nan"],
             ["phase-diagram", "--workers", "0"],
             ["phase-diagram", "--workers=-2"],
@@ -250,6 +251,7 @@ class TestRejectedChainInputs:
             "chain-ed-omega-negative",
             "chain-ed-r-zero",
             "chain-ed-r-inf",
+            "chain-ed-r-cube-underflow",
             "phase-diagram-fm-threshold-nan",
             "phase-diagram-workers-zero",
             "phase-diagram-workers-negative",
@@ -265,8 +267,9 @@ class TestRejectedChainInputs:
 
 
 class TestRejectedMomentInputs:
-    """Non-finite fields, couplings and axes, bad lab fields and separations, bad cutoffs, too few
-    fit samples and too small a basis are usage errors (exit 2)."""
+    """Non-finite fields, couplings and axes, a non-numeric tilt, constants that overflow, bad lab
+    fields and separations (including an r whose cube under- or overflows), bad cutoffs, too few fit
+    samples and too small a basis are usage errors (exit 2)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -296,6 +299,10 @@ class TestRejectedMomentInputs:
             ["convert", "--molecule", "SrO", "--r", "inf"],
             ["couplings", "--molecule", "SrO", "--epsilon", "13.5", "--r", "0"],
             ["couplings", "--molecule", "SrO", "--epsilon", "13.5", "--r", "inf"],
+            ["couplings", "--x", "6", "--omega", "1e-4", "--alpha", "foo"],
+            ["couplings", "--x", "6", "--omega", "1e308"],
+            ["convert", "--molecule", "SrO", "--r", "1e-110"],
+            ["convert", "--molecule", "SrO", "--r", "1e200"],
         ],
         ids=[
             "couplings-omega-nan",
@@ -323,6 +330,10 @@ class TestRejectedMomentInputs:
             "convert-r-inf",
             "couplings-r-zero",
             "couplings-r-inf",
+            "couplings-alpha-not-a-number",
+            "couplings-omega-overflow",
+            "convert-r-cube-underflow",
+            "convert-r-cube-overflow",
         ],
     )
     def test_usage_error(self, argv, capsys):
@@ -352,6 +363,13 @@ class TestConvert:
         proc = run_cli("convert", "--molecule", "Unobtainium", "--epsilon", "1")
         assert proc.returncode == 1
         assert "available" in proc.stderr
+
+    def test_missing_presets_file_numeric_error(self, tmp_path):
+        missing = tmp_path / "missing.ini"
+        proc = run_cli("convert", "--molecule", "SrO", "--epsilon", "1", "--presets", str(missing))
+        assert proc.returncode == 1
+        assert "pendular: error:" in proc.stderr and str(missing) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_requires_some_quantity(self, cli):
         proc = cli("convert", "--molecule", "SrO")

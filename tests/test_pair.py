@@ -208,6 +208,14 @@ class TestHeisenbergConstants:
             assert hc.jx == hc.jy
             assert (spec.j, spec.jz, spec.gamma) == (hc.jy, hc.jz, hc.gamma)
 
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 2], ids=["parallel", "perpendicular"])
+    def test_rejects_constants_that_overflow(self, alpha):
+        m = moments(6.0)
+        with pytest.raises(ValueError, match="overflows the model constants"):
+            heisenberg_constants(m, CouplingGeometry(omega=1e308, alpha=alpha))
+        hc = heisenberg_constants(m, CouplingGeometry(omega=1e300, alpha=alpha))
+        assert all(map(math.isfinite, (hc.jx, hc.jy, hc.jz, hc.gamma, hc.shift)))
+
 
 class TestCouplingSurface:
     def test_schema_and_values(self):

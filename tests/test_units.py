@@ -53,7 +53,7 @@ class TestConversions:
         )
 
     def test_rejects_nonpositive_distance(self, unit_molecule):
-        for r in (0.0, -1.0, math.nan, math.inf):
+        for r in (0.0, -1.0, math.nan, math.inf, 1e-110, 1e-105, 1e200):
             with pytest.raises(ValueError, match="separation"):
                 omega_cm1(unit_molecule, r)
 
@@ -128,6 +128,13 @@ class TestRegistry:
         bad.write_text("mu_debye = 8.9\n")
         with pytest.raises(PresetError):
             load_presets(bad)
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        latin1 = tmp_path / "latin1.ini"
+        latin1.write_bytes("[KCl]\n; M\xfcller\nmu_debye = 10.27\nb_cm1 = 0.1286\n".encode("latin-1"))
+        for path in (tmp_path / "missing.ini", latin1):
+            with pytest.raises(PresetError, match=path.name):
+                load_presets(path)
 
     def test_custom_file_loads(self, tmp_path):
         good = tmp_path / "good.ini"
