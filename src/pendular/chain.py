@@ -19,6 +19,12 @@ cut bonds).  Small sectors are diagonalized densely, larger ones by Lanczos,
 and every solved eigenpair is checked by its residual against the sector
 matrix's norm.  The xy part acts as a flip-flop of amplitude 2 j on
 anti-aligned neighbor pairs.
+
+A sector's matrix is its couplings times coupling-free patterns: the sparse
+layout of the flip-flops and the diagonal, and the sz sz value of each bond
+and the sz sum of each state.  The patterns depend only on (n, k, boundary);
+they are built once per process, cached read-only, and shared by every
+coupling, scan point and half-chain bound.
 """
 
 from __future__ import annotations
@@ -130,67 +136,78 @@ def molecular_chain(mset: MomentSet, omega: float, n: int, boundary: str = "open
     return ChainSpec(n=n, j=hc.jy, jz=hc.jz, gamma=hc.gamma, boundary=boundary)
 
 
-@cache
-def _popcounts(n: int) -> NDArray[np.uint8]:
-    """Number of up spins of every n-bit basis state, read-only."""
-    counts = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        counts = np.concatenate([counts, counts + 1])
-    counts.flags.writeable = False
-    return counts
-
-
-def _sector_states(n: int, k: int) -> NDArray[np.int64]:
-    return np.flatnonzero(_popcounts(n) == k).astype(np.int64, copy=False)
-
-
 def _sz_columns(states: NDArray[np.int64], n: int) -> NDArray[np.int64]:
     # sigma_z eigenvalues per site: shape (len(states), n)
     bits = (states[:, None] >> np.arange(n)[None, :]) & 1
     return 2 * bits - 1
 
 
-def _diagonal(spec: ChainSpec, states: NDArray[np.int64]) -> NDArray[np.float64]:
-    sz = _sz_columns(states, spec.n)
-    diag = np.zeros(len(states))
-    for i, jj in spec.bonds:
-        diag += spec.jz * sz[:, i] * sz[:, jj]
-    diag -= spec.gamma * sz.sum(axis=1)
-    return diag
+class _SectorStructure(NamedTuple):
+    """The coupling-free part of one sector's matrix; every array is read-only."""
+
+    states: NDArray[np.int64]
+    indices: NDArray[np.int32]
+    indptr: NDArray[np.int32]
+    #: Where in the CSR data the flip-flops go, and each state's diagonal entry.
+    flip_slots: NDArray[np.intp]
+    diag_slots: NDArray[np.intp]
+    #: sz_i sz_j of each bond, shape (bonds, states), and the sz sum of each state.
+    zz: NDArray[np.int8]
+    z: NDArray[np.int8]
 
 
-def _flip_flop_entries(
-    spec: ChainSpec, states: NDArray[np.int64]
-) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.float64]]:
-    rows, cols, vals = [], [], []
-    for i, jj in spec.bonds:
-        mask_i = (states >> i) & 1
-        mask_j = (states >> jj) & 1
-        anti = mask_i != mask_j
-        src = states[anti]
-        dst = src ^ ((1 << i) | (1 << jj))
-        src_idx = np.searchsorted(states, src)
-        dst_idx = np.searchsorted(states, dst)
-        rows.append(src_idx)
-        cols.append(dst_idx)
-        vals.append(np.full(len(src), 2.0 * spec.j))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def _sector_matrix(spec: ChainSpec, states: NDArray[np.int64]) -> csr_matrix:
+@cache
+def _sector_structure(n: int, k: int | None, boundary: str) -> _SectorStructure:
+    """Pattern of popcount sector k of an n-site chain, or of all 2^n states for k = None."""
+    states = np.arange(1 << n, dtype=np.int64)
+    if k is not None:
+        states = states[np.bitwise_count(states) == k]
     dim = len(states)
-    rows, cols, vals = _flip_flop_entries(spec, states)
-    diag_idx = np.arange(dim)
-    rows = np.concatenate([rows, diag_idx])
-    cols = np.concatenate([cols, diag_idx])
-    vals = np.concatenate([vals, _diagonal(spec, states)])
-    return coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    sz = _sz_columns(states, n)
+    bonds = ChainSpec(n, 0.0, 0.0, 0.0, boundary).bonds
+    rows, cols = [], []
+    for i, jj in bonds:
+        src = states[((states >> i) & 1) != ((states >> jj) & 1)]
+        rows.append(np.searchsorted(states, src))
+        cols.append(np.searchsorted(states, src ^ ((1 << i) | (1 << jj))))
+    rows = np.concatenate(rows + [np.arange(dim)])
+    cols = np.concatenate(cols + [np.arange(dim)])
+    # Entry numbers as data give each entry's slot in the canonical CSR order.
+    pattern = coo_matrix((np.arange(len(rows)), (rows, cols)), shape=(dim, dim)).tocsr()
+    slots = np.empty_like(pattern.data)
+    slots[pattern.data] = np.arange(len(slots))
+    structure = _SectorStructure(
+        states,
+        pattern.indices,
+        pattern.indptr,
+        slots[: len(slots) - dim],
+        slots[len(slots) - dim :],
+        np.array([sz[:, i] * sz[:, jj] for i, jj in bonds], dtype=np.int8),
+        sz.sum(axis=1).astype(np.int8),
+    )
+    for array in structure:
+        array.flags.writeable = False
+    return structure
+
+
+def _sector_matrix(spec: ChainSpec, k: int | None) -> csr_matrix:
+    """Sector k's matrix (all 2^n states for k = None): the couplings times the cached patterns."""
+    s = _sector_structure(spec.n, k, spec.boundary)
+    data = np.empty(len(s.indices))
+    data[s.flip_slots] = 2.0 * spec.j
+    # Bond by bond, in bond order: one product jz * (sum of zz) rounds differently.
+    diag = np.zeros(len(s.states))
+    for zz in s.zz:
+        diag += spec.jz * zz
+    diag -= spec.gamma * s.z
+    data[s.diag_slots] = diag
+    return csr_matrix((data, s.indices, s.indptr), shape=(len(s.states),) * 2)
 
 
 def build_chain_hamiltonian(spec: ChainSpec) -> csr_matrix:
     """Full 2^n x 2^n sparse Hamiltonian in the bitstring basis."""
-    states = np.arange(1 << spec.n, dtype=np.int64)
-    return _sector_matrix(spec, states)
+    # A copy, so that the caller's matrix shares no read-only arrays with the cache.
+    return _sector_matrix(spec, None).copy()
 
 
 class _SectorSolution(NamedTuple):
@@ -202,13 +219,19 @@ class _SectorSolution(NamedTuple):
 
 
 def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
-    states = _sector_states(spec.n, k)
+    states = _sector_structure(spec.n, k, spec.boundary).states
     dim = len(states)
-    h = _sector_matrix(spec, states)
+    h = _sector_matrix(spec, k)
     if dim == 1:
         return _SectorSolution(k, states, float(h[0, 0]), None, np.ones(1))
     # Largest absolute row sum; every row stores its diagonal entry.
     norm = float(np.add.reduceat(np.abs(h.data), h.indptr[:-1]).max())
+    # The matrix scaled by a power of two to unit norm (entrywise, since the
+    # factor itself overflows for a subnormal norm).  ARPACK's convergence
+    # test has an absolute floor, and the residual's sum of squares underflows
+    # below about 1e-160, so Lanczos and the residual check both run on it.
+    exponent = math.frexp(norm)[1]
+    unit = csr_matrix((np.ldexp(h.data, -exponent), h.indices, h.indptr), shape=h.shape)
     if spec.j == 0.0:
         # No flip-flop term: the sector matrix is diagonal (and may be zero,
         # which Lanczos cannot start from).
@@ -224,13 +247,8 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
         # byte-identical; unlike a uniform one it overlaps every lattice
         # symmetry sector, so no level is missed.  ARPACK's restarts (after a
         # breakdown, common on rings) draw from it too, not from OS entropy.
-        # ARPACK's convergence test has an absolute floor, so it runs on the
-        # matrix scaled by a power of two to unit norm (entrywise, since the
-        # factor itself overflows for a subnormal norm).
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(dim)
-        exponent = math.frexp(norm)[1]
-        unit = csr_matrix((np.ldexp(h.data, -exponent), h.indices, h.indptr), shape=h.shape)
         try:
             energies, vecs = eigsh(unit, k=2, which="SA", v0=v0, rng=rng)
             energies = np.ldexp(energies, exponent)
@@ -245,10 +263,14 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
         order = np.argsort(energies)
         energies, vecs = energies[order], vecs[:, order]
     lowest, vector = float(energies[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(h @ vector - lowest * vector))
-    if not residual <= RESIDUAL_TOL * norm:
+    residual = float(np.linalg.norm(unit @ vector - np.ldexp(lowest, -exponent) * vector))
+    unit_norm = np.ldexp(norm, -exponent)
+    # A subnormal level carries a rounding error far above RESIDUAL_TOL of the
+    # norm; up to one unit in its last place is then allowed.
+    if not residual <= max(RESIDUAL_TOL * unit_norm, np.ldexp(np.spacing(abs(lowest)), -exponent)):
         raise SectorConvergenceError(
-            f"sector k={k} (dim {dim}) of n={spec.n} chain: eigen-residual {residual:.3e}"
+            f"sector k={k} (dim {dim}) of n={spec.n} chain: eigen-residual "
+            f"{residual / unit_norm:.3e} of the matrix norm"
         )
     return _SectorSolution(k, states, lowest, float(energies[1]), vector)
 
@@ -279,10 +301,10 @@ def _observables(spec: ChainSpec, sol: _SectorSolution) -> dict[str, float]:
 
 def _open_chain_sector_minima(n: int, j: float, jz: float) -> NDArray[np.float64]:
     """Lowest level of each magnetization sector of an open n-site chain at zero field."""
-    h = build_chain_hamiltonian(ChainSpec(n=n, j=j, jz=jz, gamma=0.0)).toarray()
-    counts = _popcounts(n)
-    blocks = (np.flatnonzero(counts == k) for k in range(n + 1))
-    return np.array([np.linalg.eigvalsh(h[np.ix_(idx, idx)])[0] for idx in blocks])
+    # One full-space matrix sliced per sector: n + 1 sparse sector matrices cost twice as much.
+    h = _sector_matrix(ChainSpec(n=n, j=j, jz=jz, gamma=0.0), None).toarray()
+    sectors = (_sector_structure(n, k, "open").states for k in range(n + 1))
+    return np.array([np.linalg.eigvalsh(h[np.ix_(s, s)])[0] for s in sectors])
 
 
 class _SectorSpectra:
@@ -328,7 +350,7 @@ class _SectorSpectra:
 
     def tie_tolerance(self, gamma: float, scale: float) -> float:
         """Gap below which two sector ground levels tie: 1e-12 of a bound on every |level|."""
-        return 1e-12 * max(1.0, scale * max(abs(self.floor), abs(self.ceil)) + abs(gamma) * self.spec.n)
+        return 1e-12 * (scale * max(abs(self.floor), abs(self.ceil)) + abs(gamma) * self.spec.n)
 
     def onset_gamma(self) -> float:
         """Smallest gamma at which the fully polarized sector is the global ground."""

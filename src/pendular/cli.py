@@ -2,8 +2,8 @@
 
 Every subcommand is a thin wrapper over one library operation; output goes
 to --out (with a JSON run manifest written next to it) or stdout.  Only
-main() maps errors to exit codes: 0 success, 1 numeric failure (an exception
-in NUMERIC_ERRORS), 2 usage error (any other ValueError, such as a --j-max
+main() maps errors to exit codes: 0 success, 1 numeric or file failure (an
+exception in NUMERIC_ERRORS), 2 usage error (any other ValueError, such as a --j-max
 too small for the requested field).
 """
 
@@ -45,6 +45,7 @@ NUMERIC_ERRORS = (
     FitError,
     np.linalg.LinAlgError,
     ArithmeticError,
+    OSError,
 )
 
 

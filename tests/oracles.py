@@ -169,6 +169,25 @@ def xx_open_chain_gap(n: int, j: float) -> float:
     return float(np.abs(modes).min())
 
 
+def free_fermion_sector_minima(n: int, j: float, boundary: str = "open") -> np.ndarray:
+    """Lowest level of each magnetization sector k of the XX chain (jz = 0, no field).
+
+    By Jordan-Wigner the k up spins are free fermions with hopping 2j, and the
+    sector's lowest level fills the k lowest modes 4j cos(q) (Lieb, Schultz &
+    Mattis, Ann. Phys. 16, 407 (1961)).  Open chain: q = pi m / (n + 1),
+    m = 1..n.  Ring: the fermions see a periodic boundary for odd k and an
+    antiperiodic one for even k, q = 2 pi m / n or 2 pi (m + 1/2) / n.
+    """
+    if boundary == "open":
+        return np.concatenate([[0.0], np.cumsum(np.sort(xx_open_chain_modes(n, j)))])
+    minima = [0.0]
+    for k in range(1, n + 1):
+        shift = 0.0 if k % 2 else 0.5
+        modes = np.sort(4.0 * j * np.cos(2.0 * np.pi * (np.arange(n) + shift) / n))
+        minima.append(float(modes[:k].sum()))
+    return np.array(minima)
+
+
 def one_magnon_saturation_gamma(j: float, jz: float) -> float:
     """Field at which a single spin flip above the polarized state costs zero."""
     return 2.0 * (j + jz)
@@ -222,7 +241,7 @@ def all_sectors_ground_state(spec, method: str = "auto", scale: float = 1.0):
     bond_levels = two_site_spectrum(spec.j, spec.jz, 0.0)
     n_bonds = len(spec.bonds)
     bound = scale * max(abs(n_bonds * bond_levels.min()), abs(n_bonds * bond_levels.max())) + abs(gamma) * n
-    tol = 1e-12 * max(1.0, bound)
+    tol = 1e-12 * bound
     tied = [k for k, e in enumerate(lowest) if e - spectrum[0] <= tol]
     winner = max(tied)
     obs = chain._observables(free, sectors[winner])

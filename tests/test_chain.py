@@ -23,6 +23,7 @@ from pendular.moments import moments
 
 from oracles import (
     all_sectors_ground_state,
+    free_fermion_sector_minima,
     full_space_ground,
     one_magnon_saturation_gamma,
     two_site_spectrum,
@@ -91,6 +92,47 @@ class TestHamiltonian:
         rng = np.random.default_rng(7)
         v = rng.normal(size=1 << spec.n)
         assert np.allclose(h @ v, h.toarray() @ v, atol=1e-12)
+
+
+class TestSectorStructure:
+    """Sector matrices are the couplings times coupling-free patterns cached per (n, k, boundary)."""
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("n", [4, 7, 10, 13, 16])
+    @pytest.mark.parametrize("j", [1.0, -0.7])
+    def test_free_fermion_sector_minima(self, j, n, boundary):
+        # jz = 0 is free fermions (Lieb, Schultz & Mattis); n = 16 takes the Lanczos path.
+        spec = ChainSpec(n=n, j=j, jz=0.0, gamma=0.0, boundary=boundary)
+        lowest = [chain_module._solve_sector(spec, k, "auto").lowest for k in range(n + 1)]
+        assert np.abs(np.array(lowest) - free_fermion_sector_minima(n, j, boundary)).max() <= 1e-12
+        if boundary == "open" and n <= 10:
+            half = chain_module._open_chain_sector_minima(n, j, 0.0)
+            assert np.abs(half - free_fermion_sector_minima(n, j, boundary)).max() <= 1e-12
+
+    def test_patterns_are_read_only(self):
+        for k in (None, 0, 3, 6):
+            structure = chain_module._sector_structure(6, k, "periodic")
+            for array in structure:
+                assert not array.flags.writeable
+        # The public full-space matrix is the caller's own.
+        h = build_chain_hamiltonian(ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.1, boundary="periodic"))
+        assert all(a.flags.writeable for a in (h.data, h.indices, h.indptr))
+
+    def test_matrices_share_the_pattern_not_the_data(self):
+        a = chain_module._sector_matrix(ChainSpec(n=8, j=1.0, jz=0.5, gamma=0.0), 4)
+        before = a.data.copy()
+        b = chain_module._sector_matrix(ChainSpec(n=8, j=-0.7, jz=2.0, gamma=0.3), 4)
+        assert not np.shares_memory(a.data, b.data)
+        assert np.shares_memory(a.indices, b.indices)
+        np.testing.assert_array_equal(a.data, before)
+
+    def test_one_pattern_build_per_sector_across_a_scan(self):
+        chain_module._sector_structure.cache_clear()
+        phase_diagram([1.5, 4.5, 7.5, 10.5], [1e-6, 1e-5, 1e-4], n=12)
+        info = chain_module._sector_structure.cache_info()
+        # Every x solves sectors 12 and 11 of the open chain.
+        assert (info.misses, info.currsize) == (2, 2)
+        assert info.hits > 0
 
 
 class TestGroundState:
@@ -169,6 +211,9 @@ class TestGroundState:
         assert res.ground_energy == pytest.approx(-12 * 0.3, rel=1e-14)
         assert res.magnetization_per_site == 1.0
         assert res.gap == pytest.approx(2 * 0.3, rel=1e-12)
+        # With no scale at all, the all-up and all-down ground levels still tie.
+        zero = ground_state(ChainSpec(n=12, j=0.0, jz=0.0, gamma=0.0), method=method)
+        assert (zero.ground_energy, zero.ground_sector, zero.degenerate_partner_magnetization) == (0.0, 12, -1.0)
 
     @pytest.mark.parametrize(
         "solver,method,spec,error",
@@ -179,10 +224,22 @@ class TestGroundState:
                 # Molecular couplings (Omega/B = 1e-5, |H| ~ 1e-5): a residual of
                 # about 7e-9 is small in absolute terms but large next to |H|.
                 (molecular_chain(moments(10.5), 1e-5, n=12), 1e-3),
+                # Couplings so small that the residual's sum of squares underflows.
+                (ChainSpec(n=8, j=1e-170, jz=2e-170, gamma=0.0), 1e-3),
+                (ChainSpec(n=8, j=1e-300, jz=2e-300, gamma=0.0), 1e-3),
             ]
             for solver, method in [("eigsh", "iterative"), ("eigh", "dense")]
         ],
-        ids=["eigsh-iterative", "eigh-dense", "eigsh-iterative-molecular", "eigh-dense-molecular"],
+        ids=[
+            "eigsh-iterative",
+            "eigh-dense",
+            "eigsh-iterative-molecular",
+            "eigh-dense-molecular",
+            "eigsh-iterative-1e-170",
+            "eigh-dense-1e-170",
+            "eigsh-iterative-1e-300",
+            "eigh-dense-1e-300",
+        ],
     )
     def test_unconverged_eigenpair_is_rejected(self, monkeypatch, solver, method, spec, error):
         exact = getattr(chain_module, solver)
@@ -196,6 +253,19 @@ class TestGroundState:
         monkeypatch.setattr(chain_module, solver, perturbed)
         with pytest.raises(SectorConvergenceError, match=rf"n={spec.n} chain: eigen-residual"):
             ground_state(spec, method=method)
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    @pytest.mark.parametrize("j", [1e-13, 1e-14, 1e-300, 1e-310, 1e-320])
+    def test_tiny_couplings_match_full_space(self, j, method):
+        # Ties are relative to the couplings' scale, and a correct solve of a
+        # subnormal chain passes its residual check.
+        spec = ChainSpec(n=8, j=j, jz=2 * j, gamma=0.0)
+        energies, vecs = np.linalg.eigh(build_chain_hamiltonian(spec).toarray())
+        weights = np.bincount(np.bitwise_count(np.arange(1 << spec.n)), weights=vecs[:, 0] ** 2)
+        res = ground_state(spec, method=method)
+        assert res.ground_sector == weights.argmax() == 4
+        assert res.ground_energy == pytest.approx(energies[0], rel=1e-12, abs=4 * np.spacing(abs(energies[0])))
+        assert res.ground_energy / j == pytest.approx(-18.445, abs=1e-3)
 
     def test_lanczos_with_negligible_flip_flop(self):
         # Sectors k = 2 and 7 hold a 15-fold level 0 that a j of 1e-133

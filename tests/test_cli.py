@@ -202,6 +202,13 @@ class TestPhaseDiagram:
         assert payload["metadata"]["n"] == 4
         assert payload["metadata"]["thresholds"]["magnetization"] == 0.99
 
+    def test_warm_cache_payload_equals_cold_process(self, cli):
+        # A fresh process builds every sector pattern; in-process reruns reuse them.
+        argv = ("phase-diagram", "--x-grid", "1.5,7.5,10.5", "--omega-grid", "log:1e-6:1e-4:3", "--n", "10")
+        cold = run_cli(*argv)
+        assert cold.returncode == 0
+        assert cli(*argv).stdout == cli(*argv).stdout == cold.stdout
+
     def test_one_process_by_default(self, cli, tmp_path):
         out = tmp_path / "phase.csv"
         proc = cli("phase-diagram", "--x-grid", "4", "--omega-grid", "1e-5", "--n", "4", "--out", str(out))
@@ -369,6 +376,13 @@ class TestConvert:
         proc = run_cli("convert", "--molecule", "SrO", "--epsilon", "1", "--presets", str(missing))
         assert proc.returncode == 1
         assert "pendular: error:" in proc.stderr and str(missing) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_out_into_missing_directory_numeric_error(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        proc = run_cli("convert", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500", "--out", str(out))
+        assert proc.returncode == 1
+        assert "pendular: error:" in proc.stderr and str(out) in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_requires_some_quantity(self, cli):
