@@ -20,11 +20,13 @@ and every solved eigenpair is checked by its residual against the sector
 matrix's norm.  The xy part acts as a flip-flop of amplitude 2 j on
 anti-aligned neighbor pairs.
 
-A sector's matrix is its couplings times coupling-free patterns: the sparse
-layout of the flip-flops and the diagonal, and the sz sz value of each bond
-and the sz sum of each state.  The patterns depend only on (n, k, boundary);
-they are built once per process, cached read-only, and shared by every
-coupling, scan point and half-chain bound.
+A sector's matrix is its couplings times coupling-free patterns: the (row,
+col) entries of the flip-flops and the diagonal, and the sz sz value of each
+bond and the sz sums of each state.  The patterns depend only on (n, k,
+boundary); they are built once per process, cached read-only, and shared by
+every coupling, scan point and half-chain bound.  A dense solve scatters the
+entries into an array; only Lanczos and the full-space Hamiltonian build a
+sparse matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import eigh
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .moments import MomentSet, moments
@@ -136,24 +138,17 @@ def molecular_chain(mset: MomentSet, omega: float, n: int, boundary: str = "open
     return ChainSpec(n=n, j=hc.jy, jz=hc.jz, gamma=hc.gamma, boundary=boundary)
 
 
-def _sz_columns(states: NDArray[np.int64], n: int) -> NDArray[np.int64]:
-    # sigma_z eigenvalues per site: shape (len(states), n)
-    bits = (states[:, None] >> np.arange(n)[None, :]) & 1
-    return 2 * bits - 1
-
-
 class _SectorStructure(NamedTuple):
     """The coupling-free part of one sector's matrix; every array is read-only."""
 
-    states: NDArray[np.int64]
-    indices: NDArray[np.int32]
-    indptr: NDArray[np.int32]
-    #: Where in the CSR data the flip-flops go, and each state's diagonal entry.
-    flip_slots: NDArray[np.intp]
-    diag_slots: NDArray[np.intp]
-    #: sz_i sz_j of each bond, shape (bonds, states), and the sz sum of each state.
+    #: Entries of the matrix: the flip-flops of every bond, then the diagonal.
+    rows: NDArray[np.int32]
+    cols: NDArray[np.int32]
+    #: sz_i sz_j of each bond, shape (bonds, states); the sz sum and the
+    #: staggered sz sum of each state.
     zz: NDArray[np.int8]
     z: NDArray[np.int8]
+    staggered: NDArray[np.int8]
 
 
 @cache
@@ -162,86 +157,82 @@ def _sector_structure(n: int, k: int | None, boundary: str) -> _SectorStructure:
     states = np.arange(1 << n, dtype=np.int64)
     if k is not None:
         states = states[np.bitwise_count(states) == k]
-    dim = len(states)
-    sz = _sz_columns(states, n)
+    sz = 2 * ((states[:, None] >> np.arange(n)) & 1) - 1
     bonds = ChainSpec(n, 0.0, 0.0, 0.0, boundary).bonds
     rows, cols = [], []
     for i, jj in bonds:
         src = states[((states >> i) & 1) != ((states >> jj) & 1)]
         rows.append(np.searchsorted(states, src))
         cols.append(np.searchsorted(states, src ^ ((1 << i) | (1 << jj))))
-    rows = np.concatenate(rows + [np.arange(dim)])
-    cols = np.concatenate(cols + [np.arange(dim)])
-    # Entry numbers as data give each entry's slot in the canonical CSR order.
-    pattern = coo_matrix((np.arange(len(rows)), (rows, cols)), shape=(dim, dim)).tocsr()
-    slots = np.empty_like(pattern.data)
-    slots[pattern.data] = np.arange(len(slots))
+    diagonal = np.arange(len(states))
     structure = _SectorStructure(
-        states,
-        pattern.indices,
-        pattern.indptr,
-        slots[: len(slots) - dim],
-        slots[len(slots) - dim :],
+        np.concatenate(rows + [diagonal]).astype(np.int32),
+        np.concatenate(cols + [diagonal]).astype(np.int32),
         np.array([sz[:, i] * sz[:, jj] for i, jj in bonds], dtype=np.int8),
         sz.sum(axis=1).astype(np.int8),
+        (sz * (-1) ** np.arange(n)).sum(axis=1).astype(np.int8),
     )
     for array in structure:
         array.flags.writeable = False
     return structure
 
 
-def _sector_matrix(spec: ChainSpec, k: int | None) -> csr_matrix:
-    """Sector k's matrix (all 2^n states for k = None): the couplings times the cached patterns."""
-    s = _sector_structure(spec.n, k, spec.boundary)
-    data = np.empty(len(s.indices))
-    data[s.flip_slots] = 2.0 * spec.j
+def _sector_data(spec: ChainSpec, s: _SectorStructure) -> NDArray[np.float64]:
+    """Values of the entries ``(s.rows, s.cols)``: the couplings times the cached patterns."""
+    flips = len(s.rows) - len(s.z)
+    data = np.zeros(len(s.rows))
+    data[:flips] = 2.0 * spec.j
+    diag = data[flips:]
     # Bond by bond, in bond order: one product jz * (sum of zz) rounds differently.
-    diag = np.zeros(len(s.states))
     for zz in s.zz:
         diag += spec.jz * zz
     diag -= spec.gamma * s.z
-    data[s.diag_slots] = diag
-    return csr_matrix((data, s.indices, s.indptr), shape=(len(s.states),) * 2)
+    return data
+
+
+def _dense(s: _SectorStructure, data: NDArray[np.float64]) -> NDArray[np.float64]:
+    h = np.zeros((len(s.z),) * 2)
+    h[s.rows, s.cols] = data
+    return h
 
 
 def build_chain_hamiltonian(spec: ChainSpec) -> csr_matrix:
     """Full 2^n x 2^n sparse Hamiltonian in the bitstring basis."""
-    # A copy, so that the caller's matrix shares no read-only arrays with the cache.
-    return _sector_matrix(spec, None).copy()
+    s = _sector_structure(spec.n, None, spec.boundary)
+    return csr_matrix((_sector_data(spec, s), (s.rows, s.cols)), shape=(len(s.z),) * 2)
 
 
 class _SectorSolution(NamedTuple):
     k: int
-    states: NDArray[np.int64]
     lowest: float
     second: float | None
     vector: NDArray[np.float64]
 
 
 def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
-    states = _sector_structure(spec.n, k, spec.boundary).states
-    dim = len(states)
-    h = _sector_matrix(spec, k)
+    s = _sector_structure(spec.n, k, spec.boundary)
+    dim = len(s.z)
+    data = _sector_data(spec, s)
     if dim == 1:
-        return _SectorSolution(k, states, float(h[0, 0]), None, np.ones(1))
+        return _SectorSolution(k, float(data[0]), None, np.ones(1))
     # Largest absolute row sum; every row stores its diagonal entry.
-    norm = float(np.add.reduceat(np.abs(h.data), h.indptr[:-1]).max())
-    # The matrix scaled by a power of two to unit norm (entrywise, since the
+    norm = float(np.bincount(s.rows, np.abs(data)).max())
+    # The entries scaled by a power of two to unit norm (entrywise, since the
     # factor itself overflows for a subnormal norm).  ARPACK's convergence
     # test has an absolute floor, and the residual's sum of squares underflows
-    # below about 1e-160, so Lanczos and the residual check both run on it.
+    # below about 1e-160, so Lanczos and the residual check both run on them.
     exponent = math.frexp(norm)[1]
-    unit = csr_matrix((np.ldexp(h.data, -exponent), h.indices, h.indptr), shape=h.shape)
+    unit = np.ldexp(data, -exponent)
     if spec.j == 0.0:
         # No flip-flop term: the sector matrix is diagonal (and may be zero,
         # which Lanczos cannot start from).
-        diag = h.diagonal()
+        diag = data[len(data) - dim :]
         order = np.argsort(diag, kind="stable")[:2]
         energies = diag[order]
         vecs = np.zeros((dim, 2))
         vecs[order, [0, 1]] = 1.0
     elif method == "dense" or dim < 3 or (method == "auto" and dim <= DENSE_SECTOR_CUTOFF):
-        energies, vecs = eigh(h.toarray(), subset_by_index=[0, 1])
+        energies, vecs = eigh(_dense(s, data), subset_by_index=[0, 1])
     else:
         # A fixed pseudo-random start vector keeps repeated scans
         # byte-identical; unlike a uniform one it overlaps every lattice
@@ -249,8 +240,9 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
         # breakdown, common on rings) draw from it too, not from OS entropy.
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(dim)
+        h = csr_matrix((unit, (s.rows, s.cols)), shape=(dim, dim))
         try:
-            energies, vecs = eigsh(unit, k=2, which="SA", v0=v0, rng=rng)
+            energies, vecs = eigsh(h, k=2, which="SA", v0=v0, rng=rng)
             energies = np.ldexp(energies, exponent)
         except ArpackError as exc:
             # Single-vector Lanczos cannot resolve a ground level degenerate
@@ -259,11 +251,12 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
                 raise SectorConvergenceError(
                     f"sector k={k} (dim {dim}) of n={spec.n} chain: {exc}"
                 ) from exc
-            energies, vecs = eigh(h.toarray(), subset_by_index=[0, 1])
+            energies, vecs = eigh(_dense(s, data), subset_by_index=[0, 1])
         order = np.argsort(energies)
         energies, vecs = energies[order], vecs[:, order]
     lowest, vector = float(energies[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(unit @ vector - np.ldexp(lowest, -exponent) * vector))
+    hv = np.bincount(s.rows, unit * vector[s.cols], minlength=dim)
+    residual = float(np.linalg.norm(hv - np.ldexp(lowest, -exponent) * vector))
     unit_norm = np.ldexp(norm, -exponent)
     # A subnormal level carries a rounding error far above RESIDUAL_TOL of the
     # norm; up to one unit in its last place is then allowed.
@@ -272,39 +265,30 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
             f"sector k={k} (dim {dim}) of n={spec.n} chain: eigen-residual "
             f"{residual / unit_norm:.3e} of the matrix norm"
         )
-    return _SectorSolution(k, states, lowest, float(energies[1]), vector)
+    return _SectorSolution(k, lowest, float(energies[1]), vector)
 
 
 def _observables(spec: ChainSpec, sol: _SectorSolution) -> dict[str, float]:
-    sz = _sz_columns(sol.states, spec.n)
+    s = _sector_structure(spec.n, sol.k, spec.boundary)
     weights = sol.vector**2
-    bonds = spec.bonds
     nn = 0.0
-    for i, jj in bonds:
-        nn += float(weights @ (sz[:, i] * sz[:, jj]))
-    nn /= len(bonds)
-    signs = (-1.0) ** np.arange(spec.n)
-    staggered_m = (sz * signs).sum(axis=1) / spec.n
-    staggered = float(weights @ staggered_m**2)
-    polarized = (1 << spec.n) - 1
-    pos = np.searchsorted(sol.states, polarized)
-    overlap = 0.0
-    if pos < len(sol.states) and sol.states[pos] == polarized:
-        overlap = float(sol.vector[pos] ** 2)
+    for zz in s.zz:
+        nn += float(weights @ zz)
+    nn /= len(s.zz)
     return {
         "nn_zz": nn,
-        "staggered": staggered,
-        "overlap": overlap,
+        "staggered": float(weights @ (s.staggered / spec.n) ** 2),
+        # The polarized state is the only state of sector n.
+        "overlap": float(weights[0]) if sol.k == spec.n else 0.0,
         "magnetization": (2 * sol.k - spec.n) / spec.n,
     }
 
 
 def _open_chain_sector_minima(n: int, j: float, jz: float) -> NDArray[np.float64]:
     """Lowest level of each magnetization sector of an open n-site chain at zero field."""
-    # One full-space matrix sliced per sector: n + 1 sparse sector matrices cost twice as much.
-    h = _sector_matrix(ChainSpec(n=n, j=j, jz=jz, gamma=0.0), None).toarray()
-    sectors = (_sector_structure(n, k, "open").states for k in range(n + 1))
-    return np.array([np.linalg.eigvalsh(h[np.ix_(s, s)])[0] for s in sectors])
+    spec = ChainSpec(n=n, j=j, jz=jz, gamma=0.0)
+    sectors = (_sector_structure(n, k, "open") for k in range(n + 1))
+    return np.array([np.linalg.eigvalsh(_dense(s, _sector_data(spec, s)))[0] for s in sectors])
 
 
 class _SectorSpectra:

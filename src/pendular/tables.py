@@ -2,7 +2,8 @@
 
 CSV layout: one `# schema=<name>` comment line, a header line, then data
 rows.  '.' decimal, ',' separator, LF line endings, floats at 12 significant
-digits, so identical inputs serialize to identical bytes.
+digits, so identical inputs serialize to identical bytes.  JSON writes floats
+at the same 12 digits, a non-finite float as null and -0.0 as 0.0.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -56,8 +58,10 @@ def _json_value(value: Any) -> Any:
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, float):
-        # Round-trips exactly while keeping payloads readable.
-        return float(f"{value:.12g}")
+        if not math.isfinite(value):
+            return None  # JSON (RFC 8259) has no NaN or infinity
+        # Round-trips exactly while keeping payloads readable; + 0.0 turns -0.0 into 0.0.
+        return float(f"{value:.12g}") + 0.0
     return value
 
 
@@ -68,7 +72,7 @@ def render_json(table: Table, metadata: dict | None = None) -> str:
         "rows": [[_json_value(v) for v in row] for row in table.rows],
         "metadata": metadata or {},
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def render(table: Table, fmt: str, metadata: dict | None = None) -> str:

@@ -19,7 +19,7 @@ from pendular.chain import (
     phase_diagram,
     polarization_onset_gamma,
 )
-from pendular.moments import moments
+from pendular.moments import moment_curves, moments
 
 from oracles import (
     all_sectors_ground_state,
@@ -119,12 +119,30 @@ class TestSectorStructure:
         assert all(a.flags.writeable for a in (h.data, h.indices, h.indptr))
 
     def test_matrices_share_the_pattern_not_the_data(self):
-        a = chain_module._sector_matrix(ChainSpec(n=8, j=1.0, jz=0.5, gamma=0.0), 4)
-        before = a.data.copy()
-        b = chain_module._sector_matrix(ChainSpec(n=8, j=-0.7, jz=2.0, gamma=0.3), 4)
-        assert not np.shares_memory(a.data, b.data)
-        assert np.shares_memory(a.indices, b.indices)
-        np.testing.assert_array_equal(a.data, before)
+        s = chain_module._sector_structure(8, 4, "open")
+        a = chain_module._sector_data(ChainSpec(n=8, j=1.0, jz=0.5, gamma=0.0), s)
+        before = a.copy()
+        t = chain_module._sector_structure(8, 4, "open")
+        b = chain_module._sector_data(ChainSpec(n=8, j=-0.7, jz=2.0, gamma=0.3), t)
+        assert not np.shares_memory(a, b)
+        # Both are values of the same cached (row, col) entries.
+        assert t.rows is s.rows and t.cols is s.cols
+        assert a.shape == b.shape == s.rows.shape
+        np.testing.assert_array_equal(a, before)
+
+    def test_only_lanczos_builds_a_sparse_matrix(self, monkeypatch):
+        built = []
+        csr_matrix = chain_module.csr_matrix
+        monkeypatch.setattr(chain_module, "csr_matrix", lambda *a, **kw: built.append(a) or csr_matrix(*a, **kw))
+        # A dense n = 12 scan and two onsets build none.
+        phase_diagram([1.5, 4.5, 7.5, 10.5], [1e-6, 1e-5, 1e-4], n=12)
+        for x in (7.5, 10.5):
+            spec = molecular_chain(moments(x), 1e-5, 12)
+            polarization_onset_gamma(12, spec.j, spec.jz)
+        assert len(built) == 0
+        # One Lanczos sector solve builds exactly one.
+        chain_module._solve_sector(ChainSpec(n=14, j=1.0, jz=0.5, gamma=0.0), 7, "iterative")
+        assert len(built) == 1
 
     def test_one_pattern_build_per_sector_across_a_scan(self):
         chain_module._sector_structure.cache_clear()
@@ -133,6 +151,43 @@ class TestSectorStructure:
         # Every x solves sectors 12 and 11 of the open chain.
         assert (info.misses, info.currsize) == (2, 2)
         assert info.hits > 0
+
+
+class TestClosedForms:
+    """Exact results from the literature, which a Hamiltonian shared by every solver path cannot fake."""
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15])
+    def test_razumov_stroganov_odd_rings(self, n):
+        # Delta = -1/2 in Pauli units: E0 = -3n/4 exactly (Stroganov, J. Phys. A 34, L179 (2001)).
+        # The ground level is the +-1/2 magnetization doublet; n = 13, 15 take the Lanczos path.
+        result = ground_state(ChainSpec(n=n, j=-0.5, jz=0.25, gamma=0.0, boundary="periodic"))
+        assert abs(result.ground_energy + 0.75 * n) <= 1e-12 * n
+        assert result.ground_sector == (n + 1) // 2
+        assert result.degenerate_partner_magnetization == -1.0 / n
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("n", [8, 9, 12])
+    def test_lieb_mattis_sector_ordering(self, n, boundary):
+        # At j = jz > 0 the chain is SU(2)-symmetric and antiferromagnetic, so the
+        # lowest level rises with total spin |2k - n| / 2 (Lieb & Mattis, J. Math. Phys. 3, 749 (1962)).
+        spec = ChainSpec(n=n, j=1.0, jz=1.0, gamma=0.0, boundary=boundary)
+        lowest = np.array([chain_module._solve_sector(spec, k, "auto").lowest for k in range(n + 1)])
+        by_spin = lowest[np.argsort(np.abs(2 * np.arange(n + 1) - n), kind="stable")]
+        weyl_floor = len(spec.bonds) * 3.0
+        assert np.diff(by_spin).min() >= -1e-12 * weyl_floor
+
+    def test_axial_molecular_chain_is_polarized_at_every_field(self):
+        # At alpha = 0 the field gamma = delta_e / 2 + Omega (c0^2 - c1^2) / 2 lies above the
+        # one-magnon line 2 (j + jz) = Omega (2 cx^2 - (c0 - c1)^2) at every Omega > 0 when this bracket is negative.
+        c = moment_curves(np.linspace(0.05, 12.0, 240))
+        bracket = 4 * c["cx"] ** 2 - 2 * (c["c0"] - c["c1"]) ** 2 - (c["c0"] ** 2 - c["c1"] ** 2)
+        assert bracket.max() < 0
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_axial_phase_diagram_is_ferromagnetic(self, n, boundary):
+        table = phase_diagram(np.linspace(0.05, 12.0, 60), np.logspace(-6, 1, 15), n=n, boundary=boundary)
+        assert set(table.column("phase")) == {Phase.FERROMAGNETIC}
 
 
 class TestGroundState:

@@ -40,6 +40,15 @@ def cli(capsys):
     return run
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
+def strict_json(text):
+    """Parse a payload, refusing the NaN and Infinity tokens that Python's parser accepts."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def parse_csv(text):
     lines = text.splitlines()
     assert lines[0].startswith("# schema=")
@@ -128,6 +137,17 @@ class TestCouplings:
         x = payload["rows"][0][0]
         assert x == pytest.approx(6.1, rel=0.02)
 
+    def test_undefined_ratios_are_json_null(self, cli):
+        # At x = 0 the flip-flop constant jy vanishes, so jz/jy and gamma/jy are undefined.
+        proc = cli("couplings", "--x", "0", "--omega", "1e-4", "--format", "json")
+        assert proc.returncode == 0
+        payload = strict_json(proc.stdout)
+        row = dict(zip(payload["columns"], payload["rows"][0]))
+        assert row["jz_over_jy"] is None and row["gamma_over_jy"] is None
+        # jz is -0.0 there; JSON writes it as CSV does.
+        assert '"jz"' in proc.stdout and "-0.0" not in proc.stdout
+        assert parse_csv(cli("couplings", "--x", "0", "--omega", "1e-4").stdout)[0]["jz"] == "0"
+
     def test_missing_point_flags_usage_error(self, cli):
         proc = cli("couplings", "--x", "2.0")
         assert proc.returncode == 2
@@ -201,6 +221,13 @@ class TestPhaseDiagram:
         assert payload["schema_version"] == "phase_diagram.v1"
         assert payload["metadata"]["n"] == 4
         assert payload["metadata"]["thresholds"]["magnetization"] == 0.99
+
+    def test_undefined_ratios_are_json_null(self, cli):
+        proc = cli("phase-diagram", "--x-grid", "0,1", "--omega-grid", "1e-4", "--n", "4", "--format", "json")
+        assert proc.returncode == 0
+        rows = strict_json(proc.stdout)["rows"]
+        assert rows[0][2:4] == [None, None]
+        assert all(isinstance(v, float) for v in rows[1][2:4])
 
     def test_warm_cache_payload_equals_cold_process(self, cli):
         # A fresh process builds every sector pattern; in-process reruns reuse them.

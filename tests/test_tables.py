@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -42,6 +43,15 @@ def test_json_payload(table):
     assert payload["columns"] == ["x", "label", "value"]
     assert payload["metadata"] == {"n": 4}
     assert payload["rows"][0][0] == 0.1
+
+
+def test_json_writes_non_finite_as_null_and_negative_zero_as_zero():
+    t = Table(schema="s.v1", columns=("a", "b", "c", "d"), rows=[(math.nan, -math.inf, -0.0, -1.5)])
+    text = render_json(t)
+    payload = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in a JSON payload"))
+    assert payload["rows"][0] == [None, None, 0.0, -1.5]
+    assert "-0.0" not in text
+    assert render_csv(t).splitlines()[2] == "nan,-inf,0,-1.5"
 
 
 def test_column_accessor(table):
