@@ -284,13 +284,6 @@ def _observables(spec: ChainSpec, sol: _SectorSolution) -> dict[str, float]:
     }
 
 
-def _open_chain_sector_minima(n: int, j: float, jz: float) -> NDArray[np.float64]:
-    """Lowest level of each magnetization sector of an open n-site chain at zero field."""
-    spec = ChainSpec(n=n, j=j, jz=jz, gamma=0.0)
-    sectors = (_sector_structure(n, k, "open") for k in range(n + 1))
-    return np.array([np.linalg.eigvalsh(_dense(s, _sector_data(spec, s)))[0] for s in sectors])
-
-
 class _SectorSpectra:
     """Sectors of the gamma-free chain, each solved on first use and then kept.
 
@@ -321,11 +314,17 @@ class _SectorSpectra:
         together lie at or above the least lambda_left(k1) + lambda_right(k - k1);
         each cut bond (one on an open chain, two on a ring) adds at least the
         lowest two-site level.  Never below ``floor``, and equal to it for n < 4.
+        Every sector of each distinct half size is solved once, densely, by the
+        same residual-checked solver as the chain (at even n both halves are one).
         """
         n, j, jz = self.spec.n, self.spec.j, self.spec.jz
         if n < 4:
             return np.full(n + 1, self.floor)
-        left, right = (_open_chain_sector_minima(size, j, jz) for size in (n // 2, n - n // 2))
+        minima = {}
+        for size in {n // 2, n - n // 2}:
+            half = ChainSpec(size, j, jz, 0.0)
+            minima[size] = np.array([_solve_sector(half, k, "dense").lowest for k in range(size + 1)])
+        left, right = minima[n // 2], minima[n - n // 2]
         halves = np.full(n + 1, np.inf)
         for k1, e in enumerate(left):
             halves[k1 : k1 + right.size] = np.minimum(halves[k1 : k1 + right.size], e + right)

@@ -1,10 +1,11 @@
 """Command-line drivers emitting machine-readable scan data.
 
-Every subcommand is a thin wrapper over one library operation; output goes
-to --out (with a JSON run manifest written next to it) or stdout.  Only
-main() maps errors to exit codes: 0 success, 1 numeric or file failure (an
-exception in NUMERIC_ERRORS), 2 usage error (any other ValueError, such as a --j-max
-too small for the requested field).
+Every subcommand is a thin wrapper over one library operation: it returns
+its table and payload metadata, and raises ValueError on a usage problem.
+Only main() writes output, to --out (with a JSON run manifest written next
+to it) or stdout, and only main() maps errors to exit codes: 0 success,
+1 numeric or file failure (an exception in NUMERIC_ERRORS), 2 usage error
+(any other ValueError, such as a --j-max too small for the requested field).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .chain import (
     phase_diagram,
 )
 from .fits import FIT_QUANTITIES, FitError, comparison_table
-from .moments import moment_curves, moments, stark_map
+from .moments import moment_curves, moments, stark_map, uniform_grid
 from .pair import MAGIC_ANGLE, CouplingGeometry, coupling_surface, heisenberg_constants
 from .rotor import DEFAULT_J_MAX, EigensolverError
 from .tables import Table, render
@@ -64,10 +65,7 @@ def parse_grid(text: str) -> np.ndarray:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"linear grid needs start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError(f"linear grid needs step > 0 and stop >= start, got {text!r}")
-        return np.round(np.arange(start, stop + step / 2, step), 12)
+        return uniform_grid(*(float(p) for p in parts))
     values = np.array([float(p) for p in text.split(",") if p.strip() != ""])
     if values.size == 0:
         raise ValueError("empty grid")
@@ -101,7 +99,7 @@ def _preset(args):
     return find_preset(load_presets(path), args.molecule)
 
 
-def _write_output(args, table: Table, metadata: dict | None = None) -> None:
+def _write_output(args, table: Table, metadata: dict | None) -> None:
     meta = {"code_version": __version__}
     if metadata:
         meta.update(metadata)
@@ -130,37 +128,24 @@ def _write_output(args, table: Table, metadata: dict | None = None) -> None:
     Path(f"{out}.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _check_x_axis(args, parser) -> None:
-    """--x-max and --x-step of stark-map and fit: finite, step > 0, x-max >= 0."""
-    if not (math.isfinite(args.x_step) and args.x_step > 0):
-        parser.error("--x-step must be positive and finite")
-    if not (math.isfinite(args.x_max) and args.x_max >= 0):
-        parser.error("--x-max must be non-negative and finite")
-
-
-def cmd_stark_map(args, parser) -> int:
-    _check_x_axis(args, parser)
-    xs = np.round(np.arange(0.0, args.x_max + args.x_step / 2, args.x_step), 12)
+def cmd_stark_map(args) -> tuple[Table, dict | None]:
+    xs = uniform_grid(0.0, args.x_max, args.x_step)
     m_values = tuple(int(m) for m in args.m.split(","))
-    table = stark_map(xs, m_values=m_values, n_states=args.n_states, j_max=args.j_max)
-    _write_output(args, table)
-    return 0
+    return stark_map(xs, m_values=m_values, n_states=args.n_states, j_max=args.j_max), None
 
 
-def cmd_moments(args, parser) -> int:
+def cmd_moments(args) -> tuple[Table, dict | None]:
     curves = moment_curves(parse_grid(args.x_grid), args.j_max)
     columns = ("x", "e0", "e1", "delta_e", "c0", "c1", "cx")
     rows = [tuple(float(curves[key][i]) for key in columns) for i in range(len(curves["x"]))]
-    table = Table(schema="moments.v1", columns=columns, rows=rows)
-    _write_output(args, table)
-    return 0
+    return Table(schema="moments.v1", columns=columns, rows=rows), None
 
 
-def _resolve_point(args, parser):
+def _resolve_point(args):
     """(x, omega, units-metadata) from either reduced or laboratory flags."""
     if args.molecule is not None:
         if args.epsilon is None or args.r is None:
-            parser.error("--molecule requires --epsilon and --r")
+            raise ValueError("--molecule requires --epsilon and --r")
         preset = _preset(args)
         x = reduced_field(preset, args.epsilon)
         omega = omega_over_b(preset, args.r)
@@ -173,12 +158,12 @@ def _resolve_point(args, parser):
         }
         return x, omega, units
     if args.x is None or args.omega is None:
-        parser.error("give either --x and --omega, or --molecule with --epsilon and --r")
+        raise ValueError("give either --x and --omega, or --molecule with --epsilon and --r")
     return args.x, args.omega, None
 
 
-def cmd_couplings(args, parser) -> int:
-    x, omega, units = _resolve_point(args, parser)
+def cmd_couplings(args) -> tuple[Table, dict | None]:
+    x, omega, units = _resolve_point(args)
     alpha = parse_alpha(args.alpha)
     hc = heisenberg_constants(moments(x, args.j_max), CouplingGeometry(omega=omega, alpha=alpha))
     jz_over_jy = hc.jz / hc.jy if hc.jy != 0 else math.nan
@@ -189,28 +174,23 @@ def cmd_couplings(args, parser) -> int:
         columns=("x", "omega_over_b", "alpha_rad", *constants, "jz_over_jy", "gamma_over_jy"),
         rows=[(x, omega, alpha, *constants.values(), jz_over_jy, gamma_over_jy)],
     )
-    _write_output(args, table, metadata={"units": units} if units else None)
-    return 0
+    return table, {"units": units} if units else None
 
 
-def cmd_coupling_grid(args, parser) -> int:
-    table = coupling_surface(parse_grid(args.x_grid), parse_alpha_grid(args.alpha_grid), j_max=args.j_max)
-    _write_output(args, table)
-    return 0
+def cmd_coupling_grid(args) -> tuple[Table, dict | None]:
+    return coupling_surface(parse_grid(args.x_grid), parse_alpha_grid(args.alpha_grid), j_max=args.j_max), None
 
 
-def cmd_fit(args, parser) -> int:
-    _check_x_axis(args, parser)
+def cmd_fit(args) -> tuple[Table, dict | None]:
     table, fit = comparison_table(args.quantity, x_max=args.x_max, step=args.x_step, j_max=args.j_max)
     fit_meta = asdict(fit)
     if args.format == "csv":
         sys.stderr.write(json.dumps({"fit": fit_meta}, indent=None) + "\n")
-    _write_output(args, table, metadata={"fit": fit_meta})
-    return 0
+    return table, {"fit": fit_meta}
 
 
-def cmd_chain_ed(args, parser) -> int:
-    x, omega, units = _resolve_point(args, parser)
+def cmd_chain_ed(args) -> tuple[Table, dict | None]:
+    x, omega, units = _resolve_point(args)
     spec = molecular_chain(moments(x, args.j_max), omega, args.n, args.boundary)
     result = ground_state(spec)
     phase = classify_phase(result)
@@ -251,11 +231,10 @@ def cmd_chain_ed(args, parser) -> int:
             )
         ],
     )
-    _write_output(args, table, metadata={"units": units} if units else None)
-    return 0
+    return table, {"units": units} if units else None
 
 
-def cmd_phase_diagram(args, parser) -> int:
+def cmd_phase_diagram(args) -> tuple[Table, dict | None]:
     thresholds = PhaseThresholds(magnetization=args.fm_threshold)
     table = phase_diagram(
         parse_grid(args.x_grid),
@@ -266,14 +245,12 @@ def cmd_phase_diagram(args, parser) -> int:
         j_max=args.j_max,
         workers=args.workers,
     )
-    meta = {"n": args.n, "boundary": args.boundary, "thresholds": asdict(thresholds)}
-    _write_output(args, table, metadata=meta)
-    return 0
+    return table, {"n": args.n, "boundary": args.boundary, "thresholds": asdict(thresholds)}
 
 
-def cmd_convert(args, parser) -> int:
+def cmd_convert(args) -> tuple[Table, dict | None]:
     if args.epsilon is None and args.r is None:
-        parser.error("give --epsilon and/or --r to convert")
+        raise ValueError("give --epsilon and/or --r to convert")
     preset = _preset(args)
     x = reduced_field(preset, args.epsilon) if args.epsilon is not None else None
     omega = omega_over_b(preset, args.r) if args.r is not None else None
@@ -282,8 +259,7 @@ def cmd_convert(args, parser) -> int:
         columns=("molecule", "mu_debye", "b_cm1", "epsilon_kv_cm", "x", "r_nm", "omega_over_b"),
         rows=[(preset.name, preset.mu_debye, preset.b_cm1, args.epsilon, x, args.r, omega)],
     )
-    _write_output(args, table)
-    return 0
+    return table, None
 
 
 def _add_common(sub, presets: bool = False) -> None:
@@ -373,7 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        table, metadata = args.func(args)
+        _write_output(args, table, metadata)
+        return 0
     except NUMERIC_ERRORS as exc:
         sys.stderr.write(f"pendular: error: {exc}\n")
         return 1

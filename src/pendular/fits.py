@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .moments import moment_curves
+from .moments import moment_curves, uniform_grid
 from .rotor import DEFAULT_J_MAX
 from .tables import Table
 
@@ -159,8 +159,7 @@ def fit_samples(
 @lru_cache(maxsize=1)
 def _grid_curves(x_max: float, step: float, j_max: int) -> dict[str, NDArray[np.float64]]:
     """Read-only moment curves on 0:x_max:step, solved once for all quantities of a run."""
-    xs = np.round(np.arange(0.0, x_max + step / 2, step), 12)
-    curves = moment_curves(xs, j_max)
+    curves = moment_curves(uniform_grid(0.0, x_max, step), j_max)
     for values in curves.values():
         values.setflags(write=False)
     return curves

@@ -171,6 +171,16 @@ def moment_curves(
     }
 
 
+def uniform_grid(start: float, stop: float, step: float) -> NDArray[np.float64]:
+    """start, start + step, ... through stop (within half a step), rounded to 12 decimals."""
+    if not (np.all(np.isfinite((start, stop, step))) and step > 0 and stop >= start):
+        raise ValueError(
+            f"uniform grid needs finite start <= stop and step > 0, "
+            f"got start={start}, stop={stop}, step={step}"
+        )
+    return np.round(np.arange(start, stop + step / 2, step), 12)
+
+
 def _validated_grid(x_grid) -> NDArray[np.float64]:
     xs = np.asarray(x_grid, dtype=np.float64)
     if xs.size == 0:
@@ -254,21 +264,5 @@ def c1_zero_crossing(
     step: float = 0.01,
 ) -> float:
     """Location of the interior zero of c1(x) on [x_min, x_max]."""
-    xs = np.arange(x_min, x_max + step / 2, step)
-    ys = np.array([moments(float(x), j_max).c1 for x in xs])
-    return interpolated_root(xs, ys)
-
-
-def up_leading_swap(
-    j_max: int = DEFAULT_J_MAX,
-    x_min: float = 0.01,
-    x_max: float = 12.0,
-    step: float = 0.01,
-) -> float:
-    """Field at which |Y_0^0| overtakes |Y_1^0| in the up state."""
-    xs = np.arange(x_min, x_max + step / 2, step)
-    diffs = []
-    for x in xs:
-        _, up, _, _ = pseudo_spin_states(float(x), j_max)
-        diffs.append(abs(up[0]) - abs(up[1]))
-    return interpolated_root(xs, np.array(diffs))
+    xs = uniform_grid(x_min, x_max, step)
+    return interpolated_root(xs, moment_curves(xs, j_max)["c1"])

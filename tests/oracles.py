@@ -110,6 +110,15 @@ def public_route_elements(x: float, j_max: int = 30) -> dict[str, float]:
     }
 
 
+def up_leading_swap(x_min: float = 0.01, x_max: float = 12.0, step: float = 0.01, j_max: int = 30) -> float:
+    """Field at which |Y_0^0| overtakes |Y_1^0| in the up state, from public rotor calls."""
+    from pendular.moments import interpolated_root
+
+    xs = np.arange(x_min, x_max + step / 2, step)
+    ups = [_j1_positive_state(float(x), 0, 1, j_max) for x in xs]
+    return interpolated_root(xs, np.array([abs(up[0]) - abs(up[1]) for up in ups]))
+
+
 def central_difference(f, x: float, h: float = 1e-4) -> float:
     return (f(x + h) - f(x - h)) / (2 * h)
 

@@ -105,9 +105,6 @@ class TestSectorStructure:
         spec = ChainSpec(n=n, j=j, jz=0.0, gamma=0.0, boundary=boundary)
         lowest = [chain_module._solve_sector(spec, k, "auto").lowest for k in range(n + 1)]
         assert np.abs(np.array(lowest) - free_fermion_sector_minima(n, j, boundary)).max() <= 1e-12
-        if boundary == "open" and n <= 10:
-            half = chain_module._open_chain_sector_minima(n, j, 0.0)
-            assert np.abs(half - free_fermion_sector_minima(n, j, boundary)).max() <= 1e-12
 
     def test_patterns_are_read_only(self):
         for k in (None, 0, 3, 6):
@@ -411,21 +408,37 @@ class TestSectorPruning:
         phase_diagram(xs, [1e-6, 1e-5, 1e-4], n=12)
         assert calls == [12, 11] * len(xs)
 
-    @pytest.mark.parametrize("x", [7.5, 10.5])
-    def test_molecular_onset_solves_three_sectors(self, monkeypatch, x):
-        # The Weyl cap alone admits sectors 12 down to 7; the half-chain
-        # bound rules out 9 to 7, which include the two Lanczos sectors.
+    @staticmethod
+    def _onset_calls(monkeypatch, x: float, n: int) -> list[tuple[int, int]]:
+        """(sites, sector) of every sector solve in one molecular polarization onset."""
         solve = chain_module._solve_sector
         calls = []
 
         def counted(spec, k, method):
-            calls.append(k)
+            calls.append((spec.n, k))
             return solve(spec, k, method)
 
         monkeypatch.setattr(chain_module, "_solve_sector", counted)
-        spec = molecular_chain(moments(x), 1e-5, n=12)
-        polarization_onset_gamma(12, spec.j, spec.jz)
-        assert calls == [12, 11, 10]
+        spec = molecular_chain(moments(x), 1e-5, n=n)
+        polarization_onset_gamma(n, spec.j, spec.jz)
+        return calls
+
+    @pytest.mark.parametrize("x", [7.5, 10.5])
+    def test_molecular_onset_solves_three_sectors(self, monkeypatch, x):
+        # The Weyl cap alone admits sectors 12 down to 7; the half-chain
+        # bound rules out 9 to 7, which include the two Lanczos sectors.
+        # Its two 6-site halves are one chain, solved once.
+        calls = self._onset_calls(monkeypatch, x, 12)
+        assert [k for n, k in calls if n == 12] == [12, 11, 10]
+        assert sorted(k for n, k in calls if n == 6) == list(range(7))
+        assert {n for n, _ in calls} == {12, 6}
+
+    @pytest.mark.parametrize("x", [7.5, 10.5])
+    def test_odd_onset_solves_each_half_once(self, monkeypatch, x):
+        calls = self._onset_calls(monkeypatch, x, 13)
+        assert sorted(k for n, k in calls if n == 6) == list(range(7))
+        assert sorted(k for n, k in calls if n == 7) == list(range(8))
+        assert {n for n, _ in calls} == {13, 7, 6}
 
 
 class TestChainConstants:

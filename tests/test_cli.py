@@ -337,6 +337,9 @@ class TestRejectedMomentInputs:
             ["couplings", "--x", "6", "--omega", "1e308"],
             ["convert", "--molecule", "SrO", "--r", "1e-110"],
             ["convert", "--molecule", "SrO", "--r", "1e200"],
+            ["couplings", "--molecule", "SrO", "--epsilon", "13.5"],
+            ["stark-map", "--x-max", "-1"],
+            ["fit", "--quantity", "gap", "--x-step", "0"],
         ],
         ids=[
             "couplings-omega-nan",
@@ -368,6 +371,9 @@ class TestRejectedMomentInputs:
             "couplings-omega-overflow",
             "convert-r-cube-underflow",
             "convert-r-cube-overflow",
+            "couplings-molecule-without-r",
+            "stark-map-x-max-negative",
+            "fit-x-step-zero",
         ],
     )
     def test_usage_error(self, argv, capsys):
@@ -376,7 +382,7 @@ class TestRejectedMomentInputs:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error:" in captured.err
+        assert captured.err.count("error:") == 1
 
     def test_truncation_message_names_the_point(self, capsys):
         with pytest.raises(SystemExit):

@@ -186,3 +186,10 @@ class TestComparisonTable:
     def test_unknown_quantity_rejected(self):
         with pytest.raises(ValueError):
             comparison_table("c2")
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan")])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step="):
+            comparison_table("gap", step=step)
+        with pytest.raises(ValueError, match="step="):
+            fit_samples("c0", step=step)

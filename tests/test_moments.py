@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import public_route_elements
+from oracles import public_route_elements, up_leading_swap
 from pendular.moments import (
     MomentSet,
     TruncationError,
@@ -17,7 +17,7 @@ from pendular.moments import (
     moments,
     pseudo_spin_states,
     stark_map,
-    up_leading_swap,
+    uniform_grid,
 )
 from pendular.pair import pseudo_spin_operators
 from pendular.rotor import stark_constants
@@ -95,6 +95,13 @@ class TestMomentCurveShapes:
     def test_c1_zero_crossing_helper(self):
         root = c1_zero_crossing(x_min=4.0, x_max=6.0, step=0.01)
         assert root == pytest.approx(4.9, abs=0.2)
+
+    def test_c1_zero_crossing_rejects_bad_grid(self):
+        with pytest.raises(ValueError, match="step=0.0"):
+            c1_zero_crossing(step=0.0)
+        with pytest.raises(ValueError, match="stop=4.0"):
+            c1_zero_crossing(x_min=6.0, x_max=4.0)
+
 
     def test_gap_maximum_at_right_edge(self, dense_curves):
         gaps = dense_curves["delta_e"]
@@ -343,3 +350,27 @@ class TestMomentProperties:
         a, b = moments(x, j_max=30), moments(x, j_max=60)
         for field in ("e0", "e1", "c0", "c1", "cx"):
             assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-10)
+
+
+class TestUniformGrid:
+    def test_points_are_the_decimal_values(self):
+        # Rounding removes the drift of np.arange (its point 35 is not 0.35).
+        xs = uniform_grid(0.0, 12.0, 0.01)
+        assert xs.tolist() == [i / 100 for i in range(1201)]
+        assert uniform_grid(2.5, 2.5, 0.1).tolist() == [2.5]
+
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [
+            (0.0, 1.0, 0.0),
+            (0.0, 1.0, -0.1),
+            (1.0, 0.0, 0.1),
+            (0.0, math.nan, 0.1),
+            (0.0, 1.0, math.inf),
+            (-math.inf, 1.0, 0.1),
+        ],
+    )
+    def test_rejects_bad_axis(self, start, stop, step):
+        with pytest.raises(ValueError) as exc:
+            uniform_grid(start, stop, step)
+        assert f"start={start}, stop={stop}, step={step}" in str(exc.value)
