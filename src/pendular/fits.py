@@ -9,10 +9,13 @@ for each of the dipole moment curves c0, c1, cx.  Previously published
 parameter sets are bundled as ``REFERENCE_*`` so comparison tables can put
 computed data, the reference curves, and a fresh refit side by side.  The
 double sigmoid is over-parameterized, so fits are judged in function space
-(curve deviation, R^2), never by parameter closeness.  Both sigmoid centres
-are bounded to the sampled window widened by its own width on each side:
-the unbounded c1 optimum lies at infinity (x2 -> -inf with a0 -> -inf and
-a2 -> +inf), and a centre further out is no longer a step in the data.
+(curve deviation, R^2), never by parameter closeness.  The model is linear
+in A0, A1, A2, so the fit searches the shape (x1, x2, k1, k2) alone and
+solves the amplitudes of each shape exactly (variable projection).  Both
+sigmoid centres are still bounded to the sampled window widened by its own
+width on each side: the unbounded c1 optimum lies at infinity (x2 -> -inf
+with a0 -> -inf and a2 -> +inf), and a centre further out is no longer a
+step in the data.
 """
 
 from __future__ import annotations
@@ -110,10 +113,13 @@ def fit_gap(xs, ys) -> PolyFit:
 
 
 def fit_moment(xs, ys, initial=None, max_nfev: int = 20000) -> SigmoidFit:
-    """Trust-region least squares of a double sigmoid through the samples.
+    """Least squares of a double sigmoid through the samples.
 
-    Non-convergence is not fatal: the best parameters found are returned
-    with ``converged=False``.
+    Trust-region search runs over the shape (x1, x2, k1, k2) only; for each
+    shape the amplitudes (a0, a1, a2) are the exact linear least-squares
+    solution.  ``initial`` is a full 7-tuple (a0, a1, a2, x1, x2, k1, k2),
+    of which only the shape entries are used.  Non-convergence is not
+    fatal: the best parameters found are returned with ``converged=False``.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -121,23 +127,32 @@ def fit_moment(xs, ys, initial=None, max_nfev: int = 20000) -> SigmoidFit:
         raise ValueError("moment samples must be two equal-length 1-D arrays")
     if xs.size < 50:
         raise ValueError(f"need at least 50 moment samples, got {xs.size}")
+    initial = np.asarray(REFERENCE_MOMENT_PARAMS["c0"] if initial is None else initial, dtype=float)
+    if initial.shape != (7,):
+        raise ValueError(f"initial must hold the 7 double-sigmoid parameters, got shape {initial.shape}")
     # Imported here so that importing the package does not load scipy.optimize.
     from scipy.optimize import least_squares
 
-    if initial is None:
-        initial = REFERENCE_MOMENT_PARAMS["c0"]
+    def projected(shape):
+        x1, x2, k1, k2 = shape
+        u1 = np.clip((xs - x1) / k1, -500.0, 500.0)
+        u2 = np.clip(-(xs - x2) / k2, -500.0, 500.0)
+        basis = np.column_stack((np.ones_like(xs), 1.0 / (1.0 + np.exp(u1)), 1.0 / (1.0 + np.exp(u2))))
+        amplitudes = np.linalg.lstsq(basis, ys, rcond=None)[0]
+        return amplitudes, basis @ amplitudes - ys
+
     # Centres stay within one window width of the samples; widths stay positive.
     span = xs.max() - xs.min()
-    lower = np.array([-np.inf] * 3 + [xs.min() - span] * 2 + [1e-8, 1e-8])
-    upper = np.array([np.inf] * 3 + [xs.max() + span] * 2 + [np.inf] * 2)
+    lower = np.array([xs.min() - span] * 2 + [1e-8, 1e-8])
+    upper = np.array([xs.max() + span] * 2 + [np.inf] * 2)
     result = least_squares(
-        lambda p: double_sigmoid(xs, *p) - ys,
-        x0=np.clip(np.asarray(initial, dtype=float), lower, upper),
+        lambda shape: projected(shape)[1],
+        x0=np.clip(initial[3:], lower, upper),
         bounds=(lower, upper),
         method="trf",
         max_nfev=max_nfev,
     )
-    params = tuple(float(p) for p in result.x)
+    params = tuple(float(p) for p in (*projected(result.x)[0], *result.x))
     model = double_sigmoid(xs, *params)
     return SigmoidFit(params=params, r_squared=_r_squared(ys, model), converged=bool(result.success))
 

@@ -265,4 +265,7 @@ def c1_zero_crossing(
 ) -> float:
     """Location of the interior zero of c1(x) on [x_min, x_max]."""
     xs = uniform_grid(x_min, x_max, step)
+    if xs[0] == 0.0:
+        # c1(0) = 0 exactly (field-free); that zero is not the interior one.
+        xs = xs[1:]
     return interpolated_root(xs, moment_curves(xs, j_max)["c1"])

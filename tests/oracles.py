@@ -269,12 +269,11 @@ def all_sectors_ground_state(spec, method: str = "auto", scale: float = 1.0):
     return result, onset
 
 
-def unbounded_double_sigmoid_fit(xs, ys, initial) -> np.ndarray:
-    """Double-sigmoid parameters from trust-region least squares with free centres.
+def _double_sigmoid_trf(xs, ys, initial, lower, upper) -> np.ndarray:
+    """All seven double-sigmoid parameters from trust-region least squares.
 
     The model is written out here with the same exponent clipping as the
-    library's, and the solver settings are the ones used before the sigmoid
-    centres were bounded: only the two widths are bounded (below, by 1e-8).
+    library's double sigmoid.
     """
     from scipy.optimize import least_squares
 
@@ -288,9 +287,28 @@ def unbounded_double_sigmoid_fit(xs, ys, initial) -> np.ndarray:
 
     result = least_squares(
         residual,
-        x0=np.asarray(initial, dtype=float),
-        bounds=([-np.inf] * 5 + [1e-8, 1e-8], [np.inf] * 7),
+        x0=np.clip(np.asarray(initial, dtype=float), lower, upper),
+        bounds=(lower, upper),
         method="trf",
         max_nfev=20000,
     )
     return result.x
+
+
+def unbounded_double_sigmoid_fit(xs, ys, initial) -> np.ndarray:
+    """The 7-parameter fit as it was before the sigmoid centres were bounded:
+    only the two widths are bounded (below, by 1e-8)."""
+    return _double_sigmoid_trf(xs, ys, initial, [-np.inf] * 5 + [1e-8, 1e-8], [np.inf] * 7)
+
+
+def full_double_sigmoid_fit(xs, ys, initial) -> np.ndarray:
+    """The bounded 7-parameter fit, amplitudes searched along with the shape.
+
+    Same bounds and clipped start as the library's separable fit: centres in
+    [min - span, max + span] of the samples, widths at least 1e-8.
+    """
+    xs = np.asarray(xs, dtype=float)
+    span = xs.max() - xs.min()
+    lower = [-np.inf] * 3 + [xs.min() - span] * 2 + [1e-8, 1e-8]
+    upper = [np.inf] * 3 + [xs.max() + span] * 2 + [np.inf] * 2
+    return _double_sigmoid_trf(xs, ys, initial, lower, upper)

@@ -96,6 +96,12 @@ class TestMomentCurveShapes:
         root = c1_zero_crossing(x_min=4.0, x_max=6.0, step=0.01)
         assert root == pytest.approx(4.9, abs=0.2)
 
+    def test_c1_zero_crossing_skips_field_free_zero(self):
+        # c1(0) = 0 exactly; a grid starting at x = 0 must still find the interior zero.
+        root = c1_zero_crossing(x_min=0.0)
+        assert root == c1_zero_crossing()
+        assert root == pytest.approx(4.901827850378384, abs=1e-9)
+
     def test_c1_zero_crossing_rejects_bad_grid(self):
         with pytest.raises(ValueError, match="step=0.0"):
             c1_zero_crossing(step=0.0)
