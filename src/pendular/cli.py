@@ -2,10 +2,11 @@
 
 Every subcommand is a thin wrapper over one library operation: it returns
 its table and payload metadata, and raises ValueError on a usage problem.
-Only main() writes output, to --out (with a JSON run manifest written next
-to it) or stdout, and only main() maps errors to exit codes: 0 success,
-1 numeric or file failure (an exception in NUMERIC_ERRORS), 2 usage error
-(any other ValueError, such as a --j-max too small for the requested field).
+Only main() writes the payload, to --out (with a JSON run manifest written
+next to it) or stdout; `fit` in CSV mode also writes its fit parameters to
+stderr.  Only main() maps errors to exit codes: 0 success, 1 numeric, file
+or memory failure (an exception in NUMERIC_ERRORS), 2 usage error (any
+other ValueError, such as a --j-max too small for the requested field).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ NUMERIC_ERRORS = (
     np.linalg.LinAlgError,
     ArithmeticError,
     OSError,
+    MemoryError,
 )
 
 

@@ -7,26 +7,26 @@ pseudo-spin gap, and a double sigmoid
 
 for each of the dipole moment curves c0, c1, cx.  Previously published
 parameter sets are bundled as ``REFERENCE_*`` so comparison tables can put
-computed data, the reference curves, and a fresh refit side by side.  The
-double sigmoid is over-parameterized, so fits are judged in function space
-(curve deviation, R^2), never by parameter closeness.  The model is linear
-in A0, A1, A2, so the fit searches the shape (x1, x2, k1, k2) alone and
-solves the amplitudes of each shape exactly (variable projection).  Both
-sigmoid centres are still bounded to the sampled window widened by its own
-width on each side: the unbounded c1 optimum lies at infinity (x2 -> -inf
-with a0 -> -inf and a2 -> +inf), and a centre further out is no longer a
-step in the data.
+computed data, the reference curves, and a fresh refit side by side; the
+computed data come from the moments grid that is solved once per run and
+shared with the c1 crossing.  The double sigmoid is over-parameterized, so
+fits are judged in function space (curve deviation, R^2), never by
+parameter closeness.  The model is linear in A0, A1, A2, so the fit
+searches the shape (x1, x2, k1, k2) alone and solves the amplitudes of each
+shape exactly (variable projection).  Both sigmoid centres are still
+bounded to the sampled window widened by its own width on each side: the
+unbounded c1 optimum lies at infinity (x2 -> -inf with a0 -> -inf and
+a2 -> +inf), and a centre further out is no longer a step in the data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .moments import moment_curves, uniform_grid
+from .moments import _grid_curves
 from .rotor import DEFAULT_J_MAX
 from .tables import Table
 
@@ -49,6 +49,9 @@ REFERENCE_MOMENT_PARAMS = {
 REFERENCE_CX_X1_ALT = -4403.0
 
 FIT_QUANTITIES = ("gap", "c0", "c1", "cx")
+
+#: Residual evaluations allowed to one double-sigmoid fit.
+_MAX_NFEV = 20000
 
 
 def gap_polynomial(x, coeffs) -> NDArray[np.float64]:
@@ -112,7 +115,7 @@ def fit_gap(xs, ys) -> PolyFit:
     return PolyFit(coefficients=tuple(float(c) for c in coeffs), r_squared=_r_squared(ys, model))
 
 
-def fit_moment(xs, ys, initial=None, max_nfev: int = 20000) -> SigmoidFit:
+def fit_moment(xs, ys, initial=None) -> SigmoidFit:
     """Least squares of a double sigmoid through the samples.
 
     Trust-region search runs over the shape (x1, x2, k1, k2) only; for each
@@ -150,7 +153,7 @@ def fit_moment(xs, ys, initial=None, max_nfev: int = 20000) -> SigmoidFit:
         x0=np.clip(initial[3:], lower, upper),
         bounds=(lower, upper),
         method="trf",
-        max_nfev=max_nfev,
+        max_nfev=_MAX_NFEV,
     )
     params = tuple(float(p) for p in (*projected(result.x)[0], *result.x))
     model = double_sigmoid(xs, *params)
@@ -162,22 +165,13 @@ def fit_samples(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Computed samples of one fittable quantity on a uniform grid.
 
-    The grid is solved once for all quantities of a run, so the returned
-    arrays are shared and read-only.
+    The grid is solved once per run and shared with the c1 crossing, so the
+    returned arrays are read-only.
     """
     if quantity not in FIT_QUANTITIES:
         raise ValueError(f"quantity must be one of {FIT_QUANTITIES}, got {quantity!r}")
     curves = _grid_curves(x_max, step, j_max)
     return curves["x"], curves["delta_e" if quantity == "gap" else quantity]
-
-
-@lru_cache(maxsize=1)
-def _grid_curves(x_max: float, step: float, j_max: int) -> dict[str, NDArray[np.float64]]:
-    """Read-only moment curves on 0:x_max:step, solved once for all quantities of a run."""
-    curves = moment_curves(uniform_grid(0.0, x_max, step), j_max)
-    for values in curves.values():
-        values.setflags(write=False)
-    return curves
 
 
 def refit(quantity: str, xs, ys) -> PolyFit | SigmoidFit:
@@ -207,19 +201,9 @@ def comparison_table(
     """
     xs, ys = fit_samples(quantity, x_max, step, j_max)
     fit = refit(quantity, xs, ys)
-    ref = reference_curve(quantity, xs)
-    refit_curve = fit.predict(xs)
+    curves = {"x": xs, "computed": ys, "reference": reference_curve(quantity, xs)}
     if quantity == "cx":
-        ref_alt = reference_curve(quantity, xs, alternate=True)
-        rows = [
-            (float(x), float(y), float(r), float(ra), float(f))
-            for x, y, r, ra, f in zip(xs, ys, ref, ref_alt, refit_curve)
-        ]
-        columns = ("x", "computed", "reference", "reference_alt", "refit")
-    else:
-        rows = [
-            (float(x), float(y), float(r), float(f))
-            for x, y, r, f in zip(xs, ys, ref, refit_curve)
-        ]
-        columns = ("x", "computed", "reference", "refit")
-    return Table(schema=f"fit_comparison_{quantity}.v1", columns=columns, rows=rows), fit
+        curves["reference_alt"] = reference_curve(quantity, xs, alternate=True)
+    curves["refit"] = fit.predict(xs)
+    rows = list(map(tuple, np.column_stack(tuple(curves.values())).tolist()))
+    return Table(schema=f"fit_comparison_{quantity}.v1", columns=tuple(curves), rows=rows), fit

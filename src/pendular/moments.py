@@ -6,7 +6,8 @@ emerge from the field-free J = 1 multiplet).  For each reduced field x this
 module extracts their energies e0, e1, the orientation cosines
 c0 = <down|cos(theta)|down>, c1 = <up|cos(theta)|up>, and the transition
 moment cx = <down|sin(theta)cos(phi)|up>, plus tabulated scans of energies
-and basis coefficients.
+and basis coefficients.  A uniform 0:stop:step grid is solved once per run
+and shared by the fits of :mod:`pendular.fits` and the c1 zero crossing.
 
 Sign handling: eigenvector phases are arbitrary, and the raw rule used by
 :mod:`pendular.rotor` (largest coefficient positive) would flip the up state
@@ -181,6 +182,15 @@ def uniform_grid(start: float, stop: float, step: float) -> NDArray[np.float64]:
     return np.round(np.arange(start, stop + step / 2, step), 12)
 
 
+@lru_cache(maxsize=1)
+def _grid_curves(stop: float, step: float, j_max: int) -> dict[str, NDArray[np.float64]]:
+    """Read-only moment curves on 0:stop:step, solved once per run for the fits and the c1 crossing."""
+    curves = moment_curves(uniform_grid(0.0, stop, step), j_max)
+    for values in curves.values():
+        values.setflags(write=False)
+    return curves
+
+
 def _validated_grid(x_grid) -> NDArray[np.float64]:
     xs = np.asarray(x_grid, dtype=np.float64)
     if xs.size == 0:
@@ -263,9 +273,13 @@ def c1_zero_crossing(
     x_max: float = 12.0,
     step: float = 0.01,
 ) -> float:
-    """Location of the interior zero of c1(x) on [x_min, x_max]."""
-    xs = uniform_grid(x_min, x_max, step)
-    if xs[0] == 0.0:
-        # c1(0) = 0 exactly (field-free); that zero is not the interior one.
-        xs = xs[1:]
-    return interpolated_root(xs, moment_curves(xs, j_max)["c1"])
+    """Location of the interior zero of c1(x) on [x_min, x_max].
+
+    Samples are the points x >= x_min of the cached 0:x_max:step grid, less
+    x = 0 where c1 = 0 exactly; an x_min off that grid starts at the next point.
+    """
+    if not (np.isfinite(x_min) and 0.0 <= x_min <= x_max):
+        raise ValueError(f"c1 crossing needs finite 0 <= x_min <= stop, got x_min={x_min}, stop={x_max}")
+    curves = _grid_curves(x_max, step, j_max)
+    keep = (curves["x"] > 0.0) & (curves["x"] >= np.round(x_min, 12))
+    return interpolated_root(curves["x"][keep], curves["c1"][keep])

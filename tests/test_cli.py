@@ -391,6 +391,27 @@ class TestRejectedMomentInputs:
         assert "x=1.0" in err and "m=1" in err and "j_max=1" in err
 
 
+class TestOversizedGrid:
+    """A grid too large for memory is a numeric failure (exit 1), not a traceback. Every size is
+    at least 1e15 points, so numpy refuses the allocation before it touches any memory."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--x-grid", "0:1e15:1"],
+            ["moments", "--x-grid", "log:1:2:1000000000000000"],
+            ["stark-map", "--x-step", "1e-15"],
+        ],
+        ids=["moments-linear", "moments-log", "stark-map-step"],
+    )
+    def test_numeric_error(self, cli, argv):
+        proc = cli(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("pendular: error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestConvert:
     def test_sro_anchor(self, cli):
         proc = cli("convert", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500")

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,12 @@ from pendular.fits import (
     gap_polynomial,
     reference_curve,
 )
-from pendular.moments import moment_curves
+from pendular.moments import c1_zero_crossing, moment_curves
 
 from oracles import full_double_sigmoid_fit, unbounded_double_sigmoid_fit
+
+#: The module itself; the package attribute ``pendular.moments`` is the function.
+moments_module = importlib.import_module("pendular.moments")
 
 
 class TestFitGap:
@@ -217,6 +222,26 @@ class TestFitSamples:
         assert xs_again is xs
         assert not xs.flags.writeable and not c0.flags.writeable and not c1.flags.writeable
 
+    def test_fits_and_crossing_share_one_grid_solve(self, monkeypatch):
+        # The fit tables and the c1 crossing read the same 0:12:0.01 grid: one
+        # solve of its 1201 points, where a second route solved 1200 more.
+        calls = []
+        solve = moments_module.moments
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        moments_module._grid_curves.cache_clear()
+        monkeypatch.setattr(moments_module, "moments", counted)
+        for quantity in ("gap", "c0", "c1", "cx"):
+            comparison_table(quantity)
+        assert c1_zero_crossing() == 4.901827850378384
+        assert len(calls) == 1201
+        for x_min in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="x_min="):
+                c1_zero_crossing(x_min=x_min)
+
     def test_equals_fresh_moment_curves(self):
         grid = np.round(np.arange(0.0, 3.0 + 0.01 / 2, 0.01), 12)
         fresh = moment_curves(grid)
@@ -235,6 +260,14 @@ class TestComparisonTable:
     def test_cx_table_carries_both_readings(self):
         table, _ = comparison_table("cx", x_max=6.0, step=0.1)
         assert table.columns == ("x", "computed", "reference", "reference_alt", "refit")
+
+    def test_rows_are_float_tuples_of_the_curves(self):
+        table, fit = comparison_table("cx", x_max=6.0, step=0.1)
+        xs, ys = fit_samples("cx", x_max=6.0, step=0.1)
+        ref, ref_alt = reference_curve("cx", xs), reference_curve("cx", xs, alternate=True)
+        expected = [tuple(map(float, row)) for row in zip(xs, ys, ref, ref_alt, fit.predict(xs))]
+        assert table.rows == expected
+        assert all(type(row) is tuple and type(row[0]) is float for row in table.rows)
 
     def test_unknown_quantity_rejected(self):
         with pytest.raises(ValueError):

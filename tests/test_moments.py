@@ -102,6 +102,11 @@ class TestMomentCurveShapes:
         assert root == c1_zero_crossing()
         assert root == pytest.approx(4.901827850378384, abs=1e-9)
 
+    @pytest.mark.parametrize("x_min, x_max", [(0.0, 12.0), (0.01, 12.0), (4.0, 6.0)])
+    def test_c1_zero_crossing_on_the_step_grid(self, x_min, x_max):
+        # Every x_min on the 0:x_max:0.01 grid reads the same samples as a grid started at x_min.
+        assert c1_zero_crossing(x_min=x_min, x_max=x_max, step=0.01) == 4.901827850378384
+
     def test_c1_zero_crossing_rejects_bad_grid(self):
         with pytest.raises(ValueError, match="step=0.0"):
             c1_zero_crossing(step=0.0)
