@@ -12,14 +12,13 @@ from .chain import (
     ChainSpec,
     Phase,
     PhaseThresholds,
-    build_chain_hamiltonian,
     classify_phase,
     ground_state,
     molecular_chain,
     phase_diagram,
 )
 from .fits import PolyFit, SigmoidFit, fit_gap, fit_moment
-from .moments import MomentSet, coefficient_map, moments, stark_map
+from .moments import MomentSet, moments, stark_map
 from .pair import (
     MAGIC_ANGLE,
     CouplingGeometry,
@@ -46,9 +45,7 @@ __all__ = [
     "PhaseThresholds",
     "PolyFit",
     "SigmoidFit",
-    "build_chain_hamiltonian",
     "classify_phase",
-    "coefficient_map",
     "fit_gap",
     "fit_moment",
     "ground_state",

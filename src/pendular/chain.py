@@ -21,17 +21,17 @@ matrix's norm.  The xy part acts as a flip-flop of amplitude 2 j on
 anti-aligned neighbor pairs.
 
 A sector's matrix is its couplings times coupling-free patterns: the (row,
-col) entries of the flip-flops and the diagonal, and the sz sz value of each
-bond and the sz sums of each state.  The patterns depend only on (n, k,
+col) entries of the flip-flops and the diagonal, the sz sz value of each bond
+and the staggered sz sum of each state.  The patterns depend only on (n, k,
 boundary); they are built once per process, cached read-only, and shared by
 every coupling, scan point and half-chain bound.  A dense solve scatters the
-entries into an array; only Lanczos and the full-space Hamiltonian build a
-sparse matrix.
+entries into an array; only Lanczos builds a sparse matrix.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -85,6 +85,8 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in (self.j, self.jz, self.gamma)):
             raise ValueError(f"couplings must be finite, got j={self.j}, jz={self.jz}, gamma={self.gamma}")
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"site count must be an integer, got {self.n!r}")
         if not 2 <= self.n <= MAX_SITES:
             raise ValueError(f"site count must be in [2, {MAX_SITES}], got {self.n}")
         if self.boundary not in ("open", "periodic"):
@@ -144,19 +146,21 @@ class _SectorStructure(NamedTuple):
     #: Entries of the matrix: the flip-flops of every bond, then the diagonal.
     rows: NDArray[np.int32]
     cols: NDArray[np.int32]
-    #: sz_i sz_j of each bond, shape (bonds, states); the sz sum and the
-    #: staggered sz sum of each state.
+    #: sz_i sz_j of each bond, shape (bonds, states); the staggered sz sum
+    #: of each state.
     zz: NDArray[np.int8]
-    z: NDArray[np.int8]
     staggered: NDArray[np.int8]
+
+    @property
+    def dim(self) -> int:
+        return len(self.staggered)
 
 
 @cache
-def _sector_structure(n: int, k: int | None, boundary: str) -> _SectorStructure:
-    """Pattern of popcount sector k of an n-site chain, or of all 2^n states for k = None."""
+def _sector_structure(n: int, k: int, boundary: str) -> _SectorStructure:
+    """Pattern of popcount sector k of an n-site chain."""
     states = np.arange(1 << n, dtype=np.int64)
-    if k is not None:
-        states = states[np.bitwise_count(states) == k]
+    states = states[np.bitwise_count(states) == k]
     sz = 2 * ((states[:, None] >> np.arange(n)) & 1) - 1
     bonds = ChainSpec(n, 0.0, 0.0, 0.0, boundary).bonds
     rows, cols = [], []
@@ -169,7 +173,6 @@ def _sector_structure(n: int, k: int | None, boundary: str) -> _SectorStructure:
         np.concatenate(rows + [diagonal]).astype(np.int32),
         np.concatenate(cols + [diagonal]).astype(np.int32),
         np.array([sz[:, i] * sz[:, jj] for i, jj in bonds], dtype=np.int8),
-        sz.sum(axis=1).astype(np.int8),
         (sz * (-1) ** np.arange(n)).sum(axis=1).astype(np.int8),
     )
     for array in structure:
@@ -178,28 +181,21 @@ def _sector_structure(n: int, k: int | None, boundary: str) -> _SectorStructure:
 
 
 def _sector_data(spec: ChainSpec, s: _SectorStructure) -> NDArray[np.float64]:
-    """Values of the entries ``(s.rows, s.cols)``: the couplings times the cached patterns."""
-    flips = len(s.rows) - len(s.z)
+    """Values of the entries ``(s.rows, s.cols)`` at gamma = 0: j and jz times the cached patterns."""
+    flips = len(s.rows) - s.dim
     data = np.zeros(len(s.rows))
     data[:flips] = 2.0 * spec.j
     diag = data[flips:]
     # Bond by bond, in bond order: one product jz * (sum of zz) rounds differently.
     for zz in s.zz:
         diag += spec.jz * zz
-    diag -= spec.gamma * s.z
     return data
 
 
 def _dense(s: _SectorStructure, data: NDArray[np.float64]) -> NDArray[np.float64]:
-    h = np.zeros((len(s.z),) * 2)
+    h = np.zeros((s.dim,) * 2)
     h[s.rows, s.cols] = data
     return h
-
-
-def build_chain_hamiltonian(spec: ChainSpec) -> csr_matrix:
-    """Full 2^n x 2^n sparse Hamiltonian in the bitstring basis."""
-    s = _sector_structure(spec.n, None, spec.boundary)
-    return csr_matrix((_sector_data(spec, s), (s.rows, s.cols)), shape=(len(s.z),) * 2)
 
 
 class _SectorSolution(NamedTuple):
@@ -211,7 +207,7 @@ class _SectorSolution(NamedTuple):
 
 def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
     s = _sector_structure(spec.n, k, spec.boundary)
-    dim = len(s.z)
+    dim = s.dim
     data = _sector_data(spec, s)
     if dim == 1:
         return _SectorSolution(k, float(data[0]), None, np.ones(1))

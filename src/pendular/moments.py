@@ -5,8 +5,8 @@ and |up> = second pendular state of the m = 0 block (the two levels that
 emerge from the field-free J = 1 multiplet).  For each reduced field x this
 module extracts their energies e0, e1, the orientation cosines
 c0 = <down|cos(theta)|down>, c1 = <up|cos(theta)|up>, and the transition
-moment cx = <down|sin(theta)cos(phi)|up>, plus tabulated scans of energies
-and basis coefficients.  A uniform 0:stop:step grid is solved once per run
+moment cx = <down|sin(theta)cos(phi)|up>, plus a tabulated scan of the
+pendular level energies.  A uniform 0:stop:step grid is solved once per run
 and shared by the fits of :mod:`pendular.fits` and the c1 zero crossing.
 
 Sign handling: eigenvector phases are arbitrary, and the raw rule used by
@@ -139,14 +139,6 @@ def _pseudo_spin(x: float, j_max: int) -> _PseudoSpin:
     return _PseudoSpin(down, up, e0, e1, c0, c1, cx)
 
 
-def pseudo_spin_states(
-    x: float, j_max: int = DEFAULT_J_MAX
-) -> tuple[NDArray[np.float64], NDArray[np.float64], float, float]:
-    """Oriented coefficient vectors and energies (down, up, e0, e1)."""
-    ps = _pseudo_spin(x, j_max)
-    return ps.down, ps.up, ps.e0, ps.e1
-
-
 def moments(x: float, j_max: int = DEFAULT_J_MAX) -> MomentSet:
     """Pseudo-spin energies and dipole moments at reduced field x."""
     ps = _pseudo_spin(x, j_max)
@@ -158,7 +150,7 @@ def moments(x: float, j_max: int = DEFAULT_J_MAX) -> MomentSet:
 def moment_curves(
     x_grid: NDArray[np.float64] | list[float], j_max: int = DEFAULT_J_MAX
 ) -> dict[str, NDArray[np.float64]]:
-    """Vectorized scan of all five moment fields over an x grid."""
+    """e0, e1, delta_e, c0, c1 and cx over an x grid, one :func:`moments` call per point."""
     xs = _validated_grid(x_grid)
     sets = [moments(float(x), j_max) for x in xs]
     return {
@@ -227,26 +219,6 @@ def stark_map(
         columns=("x", "m", "j_tilde", "energy_over_b"),
         rows=rows,
     )
-
-
-def coefficient_map(x_grid, state: str = "down", j_max: int = DEFAULT_J_MAX) -> Table:
-    """Spherical-harmonic content of one pseudo-spin state over an x grid.
-
-    Rows (x, j, coefficient); signs follow the continuous orientation
-    described in the module docstring, so each coefficient is a smooth
-    function of x.
-    """
-    if state not in ("down", "up"):
-        raise ValueError(f"state must be 'down' or 'up', got {state!r}")
-    xs = _validated_grid(x_grid)
-    m = DOWN_M if state == "down" else UP_M
-    rows = []
-    for x in xs:
-        down, up, _, _ = pseudo_spin_states(float(x), j_max)
-        vec = down if state == "down" else up
-        for j, coeff in zip(range(abs(m), j_max + 1), vec):
-            rows.append((float(x), j, float(coeff)))
-    return Table(schema="coefficient_map.v1", columns=("x", "j", "coefficient"), rows=rows)
 
 
 def interpolated_root(xs: NDArray[np.float64], ys: NDArray[np.float64]) -> float:

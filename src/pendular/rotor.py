@@ -14,10 +14,7 @@ The required recursions are
     c(J,m)               = sqrt(((J+1)^2 - m^2) / ((2J+1)(2J+3))),
 
     sin(theta)e^{+i phi} Y_J^m = -sqrt((J+m+1)(J+m+2)/((2J+1)(2J+3))) Y_{J+1}^{m+1}
-                                 +sqrt((J-m)(J-m-1)/((2J-1)(2J+1)))   Y_{J-1}^{m+1},
-
-    sin(theta)e^{-i phi} Y_J^m = +sqrt((J-m+1)(J-m+2)/((2J+1)(2J+3))) Y_{J+1}^{m-1}
-                                 -sqrt((J+m)(J+m-1)/((2J-1)(2J+1)))   Y_{J-1}^{m-1}.
+                                 +sqrt((J-m)(J-m-1)/((2J-1)(2J+1)))   Y_{J-1}^{m+1}.
 
 Every coefficient above is cross-checked against direct spherical quadrature
 in the test suite before anything downstream relies on it.
@@ -65,12 +62,6 @@ class BasisSpec:
     def j_values(self) -> NDArray[np.int_]:
         return np.arange(abs(self.m), self.j_max + 1)
 
-    def index(self, j: int) -> int:
-        """Position of |j, m> in the basis ordering."""
-        if not abs(self.m) <= j <= self.j_max:
-            raise ValueError(f"J={j} outside basis range [{abs(self.m)}, {self.j_max}]")
-        return j - abs(self.m)
-
 
 @dataclass(frozen=True)
 class PendularSolution:
@@ -91,14 +82,6 @@ class PendularSolution:
     def j_tilde(self, k: int) -> int:
         return abs(self.spec.m) + k
 
-    def energy(self, j_tilde: int) -> float:
-        """Energy of the adiabatic level J-tilde (units of B)."""
-        return float(self.energies[j_tilde - abs(self.spec.m)])
-
-    def state(self, j_tilde: int) -> NDArray[np.float64]:
-        """Coefficient vector of the adiabatic level J-tilde."""
-        return self.coefficients[:, j_tilde - abs(self.spec.m)]
-
 
 def _cos_coupling(j: int, m: int) -> float:
     # <J+1,m|cos(theta)|J,m>
@@ -113,16 +96,6 @@ def _raise_to_upper(j: int, m: int) -> float:
 def _raise_to_lower(j: int, m: int) -> float:
     # <J-1,m+1|sin(theta)e^{+i phi}|J,m>
     return math.sqrt((j - m) * (j - m - 1) / ((2 * j - 1) * (2 * j + 1)))
-
-
-def _lower_to_upper(j: int, m: int) -> float:
-    # <J+1,m-1|sin(theta)e^{-i phi}|J,m>
-    return math.sqrt((j - m + 1) * (j - m + 2) / ((2 * j + 1) * (2 * j + 3)))
-
-
-def _lower_to_lower(j: int, m: int) -> float:
-    # <J-1,m-1|sin(theta)e^{-i phi}|J,m>
-    return -math.sqrt((j + m) * (j + m - 1) / ((2 * j - 1) * (2 * j + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +155,7 @@ def operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) -> NDAr
     """Matrix <J',m'|op|J,m> between two truncated bases.
 
     ``kind`` selects the operator: "cos_theta" requires m' = m, the two
-    sin(theta) operators require |m' - m| = 1.  For "sin_theta_sin_phi" the
+    sin(theta) operators require m' = m + 1.  For "sin_theta_sin_phi" the
     elements are purely imaginary; the returned real matrix K is the operator
     divided by i (full operator = i*K).
     """
@@ -192,8 +165,8 @@ def operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) -> NDAr
     if kind == "cos_theta":
         if mb != mk:
             raise ValueError(f"cos_theta requires equal m, got bra m={mb}, ket m={mk}")
-    elif abs(mb - mk) != 1:
-        raise ValueError(f"{kind} requires |m_bra - m_ket| = 1, got bra m={mb}, ket m={mk}")
+    elif mb != mk + 1:
+        raise ValueError(f"{kind} requires m_bra = m_ket + 1, got bra m={mb}, ket m={mk}")
 
     out = np.zeros((spec_bra.dim, spec_ket.dim))
     jb_lo, jb_hi = abs(mb), spec_bra.j_max
@@ -208,20 +181,12 @@ def operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) -> NDAr
             if j - 1 >= abs(mk):
                 put(j - 1, col, _cos_coupling(j - 1, mk))
             continue
-        raising = mb == mk + 1
-        if raising:
-            up, down = _raise_to_upper(j, mk), _raise_to_lower(j, mk)
-        else:
-            up, down = _lower_to_upper(j, mk), _lower_to_lower(j, mk)
+        up, down = _raise_to_upper(j, mk), _raise_to_lower(j, mk)
         if j - 1 < abs(mb):
             down = 0.0
-        if kind == "sin_theta_cos_phi":
-            half_up, half_down = 0.5 * up, 0.5 * down
-        else:
-            # sin*sin = (e^{+i phi} - e^{-i phi}) * sin(theta) / (2i); dividing
-            # by i leaves -1/2 of the raising part, +1/2 of the lowering part.
-            sign = -0.5 if raising else 0.5
-            half_up, half_down = sign * up, sign * down
-        put(j + 1, col, half_up)
-        put(j - 1, col, half_down)
+        # Only sin(theta)e^{+i phi} links m to m + 1: sin*cos is half of it, and
+        # sin*sin = sin(theta)(e^{+i phi} - e^{-i phi}) / (2i) divided by i is minus half.
+        half = 0.5 if kind == "sin_theta_cos_phi" else -0.5
+        put(j + 1, col, half * up)
+        put(j - 1, col, half * down)
     return out

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: matrix
 elements come from brute-force spherical quadrature, derivatives from
 central differences, XX-chain energies from the free-fermion mapping, the
-pseudo-spin moments from the public full-spectrum solver, and chain ground
-states from every magnetization sector, with no pruning.  The dense Stark
+pseudo-spin moments from the public full-spectrum solver, chain ground
+states from every magnetization sector, with no pruning, and the full chain
+Hamiltonian from Kronecker products of Pauli matrices.  The dense Stark
 matrix is the library's own tridiagonal written out in full, so that scipy's
 checked solver and the element tests can read it.
 """
@@ -12,6 +13,7 @@ checked solver and the element tests can read it.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,11 +47,9 @@ def _grids(n_theta: int = 64, n_phi: int = 64):
     return t, p, weights
 
 
-def quad_element(kind: str, j_bra: int, m_bra: int, j_ket: int, m_ket: int) -> complex:
-    """<J',m'| op |J,m> by 2-D spherical quadrature (exact for these integrands)."""
+def quad_operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) -> np.ndarray:
+    """Full rectangular <J',m'| op |J,m> by 2-D spherical quadrature (exact for these integrands; complex)."""
     t, p, w = _grids()
-    y_bra = sph_harm_y(j_bra, m_bra, t, p)
-    y_ket = sph_harm_y(j_ket, m_ket, t, p)
     if kind == "cos_theta":
         op = np.cos(t)
     elif kind == "sin_theta_cos_phi":
@@ -58,16 +58,9 @@ def quad_element(kind: str, j_bra: int, m_bra: int, j_ket: int, m_ket: int) -> c
         op = np.sin(t) * np.sin(p)
     else:
         raise ValueError(kind)
-    return complex(np.sum(np.conj(y_bra) * op * y_ket * w))
-
-
-def quad_operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) -> np.ndarray:
-    """Full rectangular operator matrix from quadrature (complex)."""
-    out = np.zeros((spec_bra.dim, spec_ket.dim), dtype=complex)
-    for r, jb in enumerate(spec_bra.j_values):
-        for c, jk in enumerate(spec_ket.j_values):
-            out[r, c] = quad_element(kind, int(jb), spec_bra.m, int(jk), spec_ket.m)
-    return out
+    y_bra = [np.conj(sph_harm_y(int(j), spec_bra.m, t, p)) for j in spec_bra.j_values]
+    y_ket = [sph_harm_y(int(j), spec_ket.m, t, p) for j in spec_ket.j_values]
+    return np.array([[np.sum(yb * op * yk * w) for yk in y_ket] for yb in y_bra])
 
 
 def checked_tridiagonal_solve(x: float, m: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,8 +76,8 @@ def checked_tridiagonal_solve(x: float, m: int, j_max: int) -> tuple[np.ndarray,
 def _j1_positive_state(x: float, m: int, j_tilde: int, j_max: int) -> np.ndarray:
     """Pendular state re-signed so that its J = 1 component is positive."""
     sol = solve_pendular(x, BasisSpec(m=m, j_max=j_max))
-    vec = sol.state(j_tilde)
-    if vec[sol.spec.index(1)] < 0:
+    vec = sol.coefficients[:, j_tilde - abs(m)]
+    if vec[1 - abs(m)] < 0:  # the J = 1 component
         vec = -vec
     return vec
 
@@ -101,8 +94,8 @@ def public_route_elements(x: float, j_max: int = 30) -> dict[str, float]:
     down = _j1_positive_state(x, 1, 1, j_max)
     up = _j1_positive_state(x, 0, 1, j_max)
     return {
-        "e0": solve_pendular(x, spec_d).energy(1),
-        "e1": solve_pendular(x, spec_u).energy(1),
+        "e0": float(solve_pendular(x, spec_d).energies[0]),
+        "e1": float(solve_pendular(x, spec_u).energies[1]),
         "c0": down @ operator_matrix("cos_theta", spec_d, spec_d) @ down,
         "c1": up @ operator_matrix("cos_theta", spec_u, spec_u) @ up,
         "cx": down @ operator_matrix("sin_theta_cos_phi", spec_d, spec_u) @ up,
@@ -133,9 +126,10 @@ def brute_force_pair_interaction(
     selection rules enter, so this is a fully independent route to the 4x4
     pseudo-spin matrix.
     """
-    from pendular.moments import pseudo_spin_states
+    from pendular.moments import _pseudo_spin
 
-    down, up, _, _ = pseudo_spin_states(x, j_max)
+    ps = _pseudo_spin(x, j_max)
+    down, up = ps.down, ps.up
     u, wu = leggauss(n_theta)
     theta = np.arccos(u)
     phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
@@ -207,25 +201,96 @@ def two_site_spectrum(j: float, jz: float, gamma: float) -> np.ndarray:
     return np.sort(np.array([jz + 2 * gamma, jz - 2 * gamma, -jz + 2 * j, -jz - 2 * j]))
 
 
-def full_space_ground(h: np.ndarray, n: int, bonds: list[tuple[int, int]]) -> dict[str, float]:
-    """Ground energy, gap and ground-state observables of a full 2^n matrix.
+PAULI = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+@cache
+def pauli_product(n: int, *factors: tuple[int, str]) -> np.ndarray:
+    """Kronecker product over sites 0..n-1 of the Pauli matrix of each (site, axis) factor.
+
+    Identity on every other site.  Site 0 is the leftmost factor, and
+    sigma_z = +1 ("up") is the first basis state of each site.  Cached, read-only.
+    """
+    axes = dict(factors)
+    out = np.ones((1, 1), dtype=complex)
+    for i in range(n):
+        out = np.kron(out, PAULI[axes[i]] if i in axes else np.eye(2))
+    out.flags.writeable = False
+    return out
+
+
+def pauli_chain_hamiltonian(spec) -> np.ndarray:
+    """Full 2^n x 2^n chain Hamiltonian from Kronecker products of Pauli matrices.
+
+    H = sum_bonds [ j (sx sx + sy sy) + jz sz sz ] - gamma * sum_i sz_i, added
+    bond by bond in ``spec.bonds`` order; no bit patterns and nothing of
+    :mod:`pendular.chain` but the bond list enter.
+    """
+    n = spec.n
+    h = np.zeros((1 << n, 1 << n), dtype=complex)
+    for a, b in spec.bonds:
+        h += spec.j * (pauli_product(n, (a, "x"), (b, "x")) + pauli_product(n, (a, "y"), (b, "y")))
+        h += spec.jz * pauli_product(n, (a, "z"), (b, "z"))
+    for i in range(n):
+        h -= spec.gamma * pauli_product(n, (i, "z"))
+    assert not h.imag.any()
+    return h.real
+
+
+def pauli_z(n: int) -> np.ndarray:
+    """Diagonal of sigma_z on each site, shape (n, 2^n), in the basis of :func:`pauli_product`."""
+    return np.array([np.diag(pauli_product(n, (i, "z"))).real for i in range(n)])
+
+
+def full_space_ground(spec) -> dict[str, float]:
+    """Ground energy, gap and ground-state observables of :func:`pauli_chain_hamiltonian`.
 
     Diagonalizes the whole Hilbert space at once, with no magnetization
-    sectors, and reads every observable bit by bit from the basis index.
-    The observables are meaningful only for a non-degenerate ground state.
+    sectors, and reads every observable from the Pauli z diagonals.  The
+    observables are meaningful only for a non-degenerate ground state.
     """
-    energies, vecs = np.linalg.eigh(h)
+    n = spec.n
+    energies, vecs = np.linalg.eigh(pauli_chain_hamiltonian(spec))
     weights = vecs[:, 0] ** 2
-    sz = np.array([[1.0 if (s >> i) & 1 else -1.0 for i in range(n)] for s in range(1 << n)])
-    staggered = (sz * (-1.0) ** np.arange(n)).sum(axis=1) / n
+    z = pauli_z(n)
+    staggered = (z * (-1.0) ** np.arange(n)[:, None]).sum(axis=0) / n
     return {
         "ground_energy": float(energies[0]),
         "gap": float(energies[1] - energies[0]),
-        "magnetization_per_site": float(weights @ sz.sum(axis=1)) / n,
-        "nn_zz_correlation": float(sum(weights @ (sz[:, i] * sz[:, j]) for i, j in bonds)) / len(bonds),
+        "magnetization_per_site": float(weights @ z.sum(axis=0)) / n,
+        "nn_zz_correlation": float(sum(weights @ (z[a] * z[b]) for a, b in spec.bonds)) / len(spec.bonds),
         "staggered_zz_correlation": float(weights @ staggered**2),
-        "ground_overlap_polarized": float(weights[-1]),
+        "ground_overlap_polarized": float(weights[z.sum(axis=0) == n].sum()),
     }
+
+
+def xxz_phase(j: float, jz: float, gamma: float) -> str:
+    """Thermodynamic-limit phase of the chain, as a :class:`pendular.chain.Phase` value.
+
+    In Pauli units with Delta = jz / |j| (j != 0):
+    - ferromagnetic for |gamma| >= 2 (|j| + jz), the one-magnon saturation
+      field; for Delta <= -1 that is every gamma;
+    - Neel (antiferromagnetic) for Delta > 1 and |gamma| < gamma_c1, the spin
+      gap 2 |j| sinh(phi) sum_m (-1)^m / cosh(m phi), cosh(phi) = Delta
+      (des Cloizeaux & Gaudin, J. Math. Phys. 7, 1384 (1966));
+    - Luttinger liquid otherwise.
+    """
+    if abs(gamma) >= 2.0 * (abs(j) + jz):
+        return "ferromagnetic"
+    if jz / abs(j) > 1.0 and abs(gamma) < xxz_gamma_c1(j, jz):
+        return "antiferromagnetic"
+    return "luttinger_liquid"
+
+
+def xxz_gamma_c1(j: float, jz: float) -> float:
+    """Lower critical field of the gapped XXZ chain, Delta = jz / |j| > 1 (des Cloizeaux & Gaudin)."""
+    phi = np.arccosh(jz / abs(j))
+    m = np.arange(-int(50.0 / phi) - 1, int(50.0 / phi) + 2)
+    return float(2.0 * abs(j) * np.sinh(phi) * np.sum((-1.0) ** m / np.cosh(m * phi)))
 
 
 def all_sectors_ground_state(spec, method: str = "auto", scale: float = 1.0):

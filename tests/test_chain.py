@@ -12,7 +12,6 @@ from pendular.chain import (
     Phase,
     PhaseThresholds,
     SectorConvergenceError,
-    build_chain_hamiltonian,
     classify_phase,
     ground_state,
     molecular_chain,
@@ -26,9 +25,13 @@ from oracles import (
     free_fermion_sector_minima,
     full_space_ground,
     one_magnon_saturation_gamma,
+    pauli_chain_hamiltonian,
+    pauli_z,
     two_site_spectrum,
     xx_open_chain_gap,
     xx_open_chain_ground_energy,
+    xxz_gamma_c1,
+    xxz_phase,
 )
 
 #: (jz/j, gamma) with j = 1: ferromagnetic, Luttinger-liquid and
@@ -47,6 +50,21 @@ class TestChainSpec:
             ChainSpec(n=1, j=1.0, jz=0.0, gamma=0.0)
         with pytest.raises(ValueError):
             ChainSpec(n=17, j=1.0, jz=0.0, gamma=0.0)
+
+    @pytest.mark.parametrize("n", [4.5, 4.0, "4", None])
+    def test_rejects_non_integer_size(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            ChainSpec(n=n, j=1.0, jz=0.0, gamma=0.0)
+
+    def test_non_integer_size_rejected_at_every_entry_point(self):
+        with pytest.raises(ValueError, match="integer"):
+            polarization_onset_gamma(4.5, 1.0, 0.5)
+        with pytest.raises(ValueError, match="integer"):
+            phase_diagram([1.0], [1e-5], n=4.5)
+
+    def test_accepts_numpy_integer_size(self):
+        spec = ChainSpec(n=np.int64(4), j=1.0, jz=0.5, gamma=0.1)
+        assert ground_state(spec) == ground_state(ChainSpec(n=4, j=1.0, jz=0.5, gamma=0.1))
 
     def test_rejects_bad_boundary(self):
         with pytest.raises(ValueError):
@@ -72,26 +90,46 @@ class TestChainSpec:
 class TestHamiltonian:
     @pytest.mark.parametrize("j,jz,gamma", [(1.0, -0.5, 0.3), (0.7, 1.2, 0.0), (0.0, 1.0, 2.0)])
     def test_two_site_spectrum_analytic(self, j, jz, gamma):
-        h = build_chain_hamiltonian(ChainSpec(n=2, j=j, jz=jz, gamma=gamma)).toarray()
+        # At n = 2 the lowest and second levels of the three sectors are all four levels.
+        spec = ChainSpec(n=2, j=j, jz=jz, gamma=gamma)
+        levels = []
+        for k in range(3):
+            s = chain_module._solve_sector(replace(spec, gamma=0.0), k, "dense")
+            levels += [e - gamma * (2 * k - 2) for e in (s.lowest, s.second) if e is not None]
         expected = two_site_spectrum(j, jz, gamma)
-        assert np.abs(np.sort(np.linalg.eigvalsh(h)) - expected).max() <= 1e-12
+        assert np.abs(np.sort(levels) - expected).max() <= 1e-12
 
     def test_diagonal_when_j_zero(self):
-        h = build_chain_hamiltonian(ChainSpec(n=5, j=0.0, jz=0.8, gamma=0.2)).toarray()
-        assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
+        spec = ChainSpec(n=5, j=0.0, jz=0.8, gamma=0.0)
+        for k in range(spec.n + 1):
+            s = chain_module._sector_structure(spec.n, k, spec.boundary)
+            h = chain_module._dense(s, chain_module._sector_data(spec, s))
+            assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
 
     def test_sector_conservation(self):
-        spec = ChainSpec(n=6, j=1.0, jz=0.4, gamma=0.1)
-        h = build_chain_hamiltonian(spec).tocoo()
-        for r, c in zip(h.row, h.col):
-            assert bin(int(r)).count("1") == bin(int(c)).count("1")
+        # The sectors are closed under H: their levels, shifted by -gamma * (2k - n),
+        # are the whole spectrum of the Pauli-product oracle.
+        for boundary in ("open", "periodic"):
+            spec = ChainSpec(n=6, j=1.0, jz=0.4, gamma=0.1, boundary=boundary)
+            levels = []
+            for k in range(spec.n + 1):
+                s = chain_module._sector_structure(spec.n, k, spec.boundary)
+                h = chain_module._dense(s, chain_module._sector_data(spec, s))
+                levels.extend(np.linalg.eigvalsh(h) - spec.gamma * (2 * k - spec.n))
+            full = np.linalg.eigvalsh(pauli_chain_hamiltonian(spec))
+            assert np.abs(np.sort(levels) - full).max() <= 1e-12
 
     def test_matrix_free_application(self):
-        spec = ChainSpec(n=7, j=0.6, jz=-0.3, gamma=0.05)
-        h = build_chain_hamiltonian(spec)
-        rng = np.random.default_rng(7)
-        v = rng.normal(size=1 << spec.n)
-        assert np.allclose(h @ v, h.toarray() @ v, atol=1e-12)
+        # The residual check applies the sector matrix from its entries; Lanczos
+        # and the dense solve see the same matrix.
+        spec = ChainSpec(n=7, j=0.6, jz=-0.3, gamma=0.0)
+        s = chain_module._sector_structure(spec.n, 3, spec.boundary)
+        data = chain_module._sector_data(spec, s)
+        v = np.random.default_rng(7).normal(size=s.dim)
+        dense = chain_module._dense(s, data) @ v
+        sparse = chain_module.csr_matrix((data, (s.rows, s.cols)), shape=(s.dim, s.dim)) @ v
+        assert np.allclose(np.bincount(s.rows, data * v[s.cols], minlength=s.dim), dense, atol=1e-12)
+        assert np.allclose(sparse, dense, atol=1e-12)
 
 
 class TestSectorStructure:
@@ -107,13 +145,10 @@ class TestSectorStructure:
         assert np.abs(np.array(lowest) - free_fermion_sector_minima(n, j, boundary)).max() <= 1e-12
 
     def test_patterns_are_read_only(self):
-        for k in (None, 0, 3, 6):
+        for k in (0, 3, 6):
             structure = chain_module._sector_structure(6, k, "periodic")
             for array in structure:
                 assert not array.flags.writeable
-        # The public full-space matrix is the caller's own.
-        h = build_chain_hamiltonian(ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.1, boundary="periodic"))
-        assert all(a.flags.writeable for a in (h.data, h.indices, h.indptr))
 
     def test_matrices_share_the_pattern_not_the_data(self):
         s = chain_module._sector_structure(8, 4, "open")
@@ -180,6 +215,37 @@ class TestClosedForms:
         bracket = 4 * c["cx"] ** 2 - 2 * (c["c0"] - c["c1"]) ** 2 - (c["c0"] ** 2 - c["c1"] ** 2)
         assert bracket.max() < 0
 
+    #: Width of the band above gamma_c1 in which ring ED still reads Neel: the
+    #: finite ring's spin gap approaches gamma_c1 from above.  The ED label
+    #: turns at 0.846 / 0.664 above gamma_c1 for Delta = 2 / 3 at n = 12, and at
+    #: 0.592 / 0.432 at n = 16.
+    NEEL_BAND = {12: 0.9, 16: 0.65}
+    #: Delta = jz / j per ring size; n = 16 leaves out the slow Delta <= -1 rings.
+    DELTAS = {12: (-1.5, 0.5, 2.0, 3.0), 16: (0.5, 3.0)}
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_ring_labels_match_the_thermodynamic_phases(self, n):
+        # Below gamma_c1 and around the saturation field no band is needed: the
+        # points 0.05 on either side of each agree (the ring's one-magnon onset is exact).
+        labels = set()
+        for delta in self.DELTAS[n]:
+            # One sector solve serves every gamma, as in a phase-diagram scan.
+            spectra = chain_module._SectorSpectra(ChainSpec(n, 1.0, delta, 0.0, "periodic"), "auto")
+            saturation = 2.0 * (1.0 + delta)
+            gammas = [0.0, 0.5, 1.5, 2.5, 3.5, 5.0, 7.0, 9.0]
+            if saturation > 0:
+                gammas += [saturation - 0.05, saturation + 0.05]
+            c1 = xxz_gamma_c1(1.0, delta) if delta > 1 else math.inf
+            if delta > 1:
+                gammas.append(c1 - 0.05)
+            for gamma in gammas:
+                if 0.0 <= gamma - c1 < self.NEEL_BAND[n]:
+                    continue
+                label = classify_phase(spectra.ground_state(gamma))
+                assert label.value == xxz_phase(1.0, delta, gamma), (delta, gamma)
+                labels.add(label)
+        assert labels == set(Phase)
+
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     @pytest.mark.parametrize("n", [8, 12])
     def test_axial_phase_diagram_is_ferromagnetic(self, n, boundary):
@@ -226,7 +292,7 @@ class TestGroundState:
         labels = set()
         for jz, gamma in ORACLE_SPECS:
             spec = ChainSpec(n=n, j=1.0, jz=jz, gamma=gamma, boundary=boundary)
-            oracle = full_space_ground(build_chain_hamiltonian(spec).toarray(), n, spec.bonds)
+            oracle = full_space_ground(spec)
             res = ground_state(spec, method=method)
             assert res.ground_energy == pytest.approx(oracle["ground_energy"], abs=1e-10)
             assert res.gap == pytest.approx(oracle["gap"], abs=1e-10)
@@ -247,6 +313,22 @@ class TestGroundState:
                 assert res.degenerate_partner_magnetization == -1.0
             labels.add(classify_phase(res))
         assert labels == set(Phase)
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_full_space_oracle_sees_a_flip_flop_mutant(self, monkeypatch, boundary):
+        # The oracle shares no code with the sector matrices, so a wrong
+        # flip-flop amplitude in them shows against it.
+        exact = chain_module._sector_data
+
+        def mutant(spec, s):
+            data = exact(spec, s)
+            data[: len(s.rows) - s.dim] *= 1 + 1e-3
+            return data
+
+        monkeypatch.setattr(chain_module, "_sector_data", mutant)
+        spec = ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.0, boundary=boundary)
+        oracle = full_space_ground(spec)
+        assert abs(ground_state(spec).ground_energy - oracle["ground_energy"]) > 1e-6
 
     def test_lanczos_reaches_every_lattice_symmetry(self):
         # A translation-invariant start vector is an exact eigenvector of the
@@ -312,8 +394,9 @@ class TestGroundState:
         # Ties are relative to the couplings' scale, and a correct solve of a
         # subnormal chain passes its residual check.
         spec = ChainSpec(n=8, j=j, jz=2 * j, gamma=0.0)
-        energies, vecs = np.linalg.eigh(build_chain_hamiltonian(spec).toarray())
-        weights = np.bincount(np.bitwise_count(np.arange(1 << spec.n)), weights=vecs[:, 0] ** 2)
+        energies, vecs = np.linalg.eigh(pauli_chain_hamiltonian(spec))
+        ups = ((pauli_z(spec.n).sum(axis=0) + spec.n) // 2).astype(int)
+        weights = np.bincount(ups, weights=vecs[:, 0] ** 2)
         res = ground_state(spec, method=method)
         assert res.ground_sector == weights.argmax() == 4
         assert res.ground_energy == pytest.approx(energies[0], rel=1e-12, abs=4 * np.spacing(abs(energies[0])))

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import public_route_elements, up_leading_swap
+from oracles import public_route_elements, quad_operator_matrix, up_leading_swap
 from pendular.moments import (
     MomentSet,
     TruncationError,
     _operator,
+    _pseudo_spin,
     c1_zero_crossing,
-    coefficient_map,
     interpolated_root,
     moment_curves,
     moments,
-    pseudo_spin_states,
     stark_map,
     uniform_grid,
 )
@@ -150,22 +149,18 @@ class TestStarkMap:
 
 
 class TestCoefficientMap:
+    """Spherical-harmonic content of the oriented pseudo-spin states; index i is J = |m| + i."""
+
     def test_zero_field_down_state(self):
-        table = coefficient_map([0.0], state="down", j_max=10)
-        coeffs = {row[1]: row[2] for row in table.rows}
-        assert coeffs[1] == pytest.approx(1.0, abs=1e-12)
-        assert all(abs(v) < 1e-12 for j, v in coeffs.items() if j != 1)
+        down = _pseudo_spin(0.0, 10).down
+        assert down[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(down[1:]).max() < 1e-12
 
     @pytest.mark.parametrize("state", ["down", "up"])
     def test_normalization_per_field(self, state):
-        table = coefficient_map([0.0, 3.0, 9.0], state=state, j_max=25)
         for x in (0.0, 3.0, 9.0):
-            total = sum(row[2] ** 2 for row in table.rows if row[0] == x)
+            total = np.sum(getattr(_pseudo_spin(x, 25), state) ** 2)
             assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_unknown_state(self):
-        with pytest.raises(ValueError):
-            coefficient_map([1.0], state="sideways")
 
     def test_up_leading_component_swap_near_4_5(self):
         crossing = up_leading_swap(x_min=3.5, x_max=5.5, step=0.02)
@@ -174,7 +169,7 @@ class TestCoefficientMap:
     def test_up_y00_coefficient_negative_at_low_field(self):
         # With the J=1 component oriented positive, the J=0 admixture of the
         # up state enters with a negative sign.
-        _, up, _, _ = pseudo_spin_states(2.0)
+        up = _pseudo_spin(2.0, 30).up
         assert up[1] > 0  # J=1 anchor
         assert up[0] < 0  # J=0 admixture
 
@@ -182,36 +177,37 @@ class TestCoefficientMap:
         # The J=2 admixture grows but never overtakes J=1 on [0, 12]; the
         # sign anchor used for continuity therefore stays safe.
         for x in np.arange(0.0, 12.01, 0.5):
-            down, _, _, _ = pseudo_spin_states(float(x))
+            down = _pseudo_spin(float(x), 30).down
             assert np.argmax(np.abs(down)) == 0
 
     def test_coefficients_continuous_across_swap(self):
         # No sign jump when the up state's leading component changes.
         xs = np.arange(4.3, 4.8, 0.05)
-        table = coefficient_map(xs, state="up", j_max=20)
-        b0 = np.array([row[2] for row in table.rows if row[1] == 0])
+        b0 = np.array([_pseudo_spin(float(x), 20).up[0] for x in xs])
         assert np.all(np.abs(np.diff(b0)) < 0.05)
 
 
 class TestPlusMinusMDegeneracy:
     def test_down_partner_moments_match(self):
         # Building |down> in the m=-1 block gives the same energies and c0,
-        # and the same transition moment magnitude.
-        from pendular.rotor import BasisSpec, operator_matrix, solve_pendular
+        # and the same transition moment magnitude.  The library builds no
+        # m = -1 elements, so they come from quadrature.
+        from pendular.rotor import BasisSpec, solve_pendular
 
-        x = 5.0
-        m = moments(x)
-        sol = solve_pendular(x, BasisSpec(m=-1))
-        down = sol.state(1)
-        anchor = down[sol.spec.index(1)]
-        if anchor < 0:
+        x, j_max = 5.0, 20
+        m = moments(x, j_max)
+        spec_m1 = BasisSpec(m=-1, j_max=j_max)
+        spec_up = BasisSpec(m=0, j_max=j_max)
+        sol = solve_pendular(x, spec_m1)
+        down = sol.coefficients[:, 0]
+        if down[0] < 0:  # the J = 1 component
             down = -down
-        spec_m1 = BasisSpec(m=-1)
-        spec_up = BasisSpec(m=0)
-        c0_minus = down @ operator_matrix("cos_theta", spec_m1, spec_m1) @ down
-        _, up, _, _ = pseudo_spin_states(x)
-        cx_minus = down @ operator_matrix("sin_theta_cos_phi", spec_m1, spec_up) @ up
-        assert sol.energy(1) == pytest.approx(m.e0, abs=1e-12)
+        cos_m1 = quad_operator_matrix("cos_theta", spec_m1, spec_m1)
+        sin_cos = quad_operator_matrix("sin_theta_cos_phi", spec_m1, spec_up)
+        assert np.abs(cos_m1.imag).max() <= 1e-12 and np.abs(sin_cos.imag).max() <= 1e-12
+        c0_minus = down @ cos_m1.real @ down
+        cx_minus = down @ sin_cos.real @ _pseudo_spin(x, j_max).up
+        assert sol.energies[0] == pytest.approx(m.e0, abs=1e-12)
         assert c0_minus == pytest.approx(m.c0, abs=1e-12)
         assert abs(cx_minus) == pytest.approx(m.cx, abs=1e-12)
 
@@ -282,15 +278,15 @@ class TestOrientationBeyondTwelve:
 
     def test_up_coefficients_continuous_across_anchor_zero(self):
         xs = np.round(np.arange(14.3, 14.81, 0.05), 12)
-        table = coefficient_map(xs, state="up", j_max=30)
+        ups = np.array([_pseudo_spin(float(x), 30).up for x in xs])
         for j in (0, 1, 2):
-            col = np.array([row[2] for row in table.rows if row[1] == j])
+            col = ups[:, j]
             assert np.all(np.abs(np.diff(col)) < 0.02)
 
     def test_zero_field_keeps_j1_anchor(self):
-        down, up, _, _ = pseudo_spin_states(0.0)
-        assert down[0] == 1.0
-        assert up[1] == 1.0
+        ps = _pseudo_spin(0.0, 30)
+        assert ps.down[0] == 1.0
+        assert ps.up[1] == 1.0
         assert moments(0.0).cx == 0.0
 
 
@@ -320,7 +316,7 @@ class TestRejectedFields:
         with pytest.raises(ValueError, match="finite and non-negative"):
             moments(x)
         with pytest.raises(ValueError):
-            pseudo_spin_states(x)
+            _pseudo_spin(x, 30)
         with pytest.raises(ValueError):
             pseudo_spin_operators(x)
 

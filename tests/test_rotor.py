@@ -61,17 +61,17 @@ class TestSolvePendular:
         assert sol.energies[0] == pytest.approx(2.0, abs=1e-12)
         expected = np.zeros(sol.spec.dim)
         expected[0] = 1.0
-        assert np.allclose(sol.state(1), expected, atol=1e-12)
+        assert np.allclose(sol.coefficients[:, 0], expected, atol=1e-12)
 
     def test_second_order_shift_m0(self):
         # |1,0> shifts by +x^2/10 through second order.
         sol = solve_pendular(0.1, BasisSpec(m=0))
-        assert sol.energy(1) == pytest.approx(2.0 + 0.01 / 10.0, abs=1e-4)
+        assert sol.energies[1] == pytest.approx(2.0 + 0.01 / 10.0, abs=1e-4)
 
     def test_second_order_shift_m1(self):
         # |1,1> shifts by -x^2/20 through second order.
         sol = solve_pendular(0.1, BasisSpec(m=1))
-        assert sol.energy(1) == pytest.approx(2.0 - 0.01 / 20.0, abs=1e-4)
+        assert sol.energies[0] == pytest.approx(2.0 - 0.01 / 20.0, abs=1e-4)
 
     @pytest.mark.parametrize("x,m", [(0.5, 0), (4.0, 1), (11.0, 2)])
     def test_coefficients_orthonormal(self, x, m):
@@ -92,9 +92,7 @@ class TestSolvePendular:
 
     def test_adiabatic_labels(self):
         sol = solve_pendular(3.0, BasisSpec(m=2, j_max=8))
-        assert sol.j_tilde(0) == 2
-        assert sol.energy(3) == pytest.approx(sol.energies[1])
-        assert np.array_equal(sol.state(2), sol.coefficients[:, 0])
+        assert [sol.j_tilde(k) for k in range(sol.spec.dim)] == list(range(2, 9))
 
     def test_single_state_block(self):
         sol = solve_pendular(1.0, BasisSpec(m=5, j_max=5))
@@ -113,10 +111,11 @@ class TestSolvePendular:
         # -dE/dx equals <cos theta> in the same state.
         spec = BasisSpec(m=m)
         sol = solve_pendular(x, spec)
-        vec = sol.state(j_tilde)
+        k = j_tilde - m
+        vec = sol.coefficients[:, k]
         cos_mat = operator_matrix("cos_theta", spec, spec)
         expectation = vec @ cos_mat @ vec
-        slope = central_difference(lambda t: solve_pendular(t, spec).energy(j_tilde), x)
+        slope = central_difference(lambda t: solve_pendular(t, spec).energies[k], x)
         assert -slope == pytest.approx(expectation, abs=1e-6)
 
     @pytest.mark.parametrize("m", [0, 1])
@@ -163,6 +162,10 @@ class TestOperatorMatrix:
             operator_matrix("sin_theta_cos_phi", BasisSpec(m=0, j_max=4), BasisSpec(m=2, j_max=4))
         with pytest.raises(ValueError):
             operator_matrix("sin_theta_sin_phi", BasisSpec(m=1, j_max=4), BasisSpec(m=1, j_max=4))
+        # Only m_bra = m_ket + 1 is built; the other block is the Hermitian conjugate.
+        for kind in ("sin_theta_cos_phi", "sin_theta_sin_phi"):
+            with pytest.raises(ValueError, match="m_bra = m_ket \\+ 1"):
+                operator_matrix(kind, BasisSpec(m=0, j_max=4), BasisSpec(m=1, j_max=4))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -176,12 +179,12 @@ class TestOperatorMatrix:
 
     def test_delta_j_zero_vanishes(self):
         # Parity: all three operators only couple J to J +- 1.
-        for kind, mb in (("cos_theta", 1), ("sin_theta_cos_phi", 2), ("sin_theta_sin_phi", 0)):
-            ket = BasisSpec(m=1, j_max=6)
+        for kind, mb, mk in (("cos_theta", 1, 1), ("sin_theta_cos_phi", 2, 1), ("sin_theta_sin_phi", 1, 0)):
+            ket = BasisSpec(m=mk, j_max=6)
             bra = BasisSpec(m=mb, j_max=6)
             mat = operator_matrix(kind, bra, ket)
-            for j in range(max(abs(mb), 1), 7):
-                assert mat[bra.index(j), ket.index(j)] == 0.0
+            for j in range(max(abs(mb), abs(mk)), 7):
+                assert mat[j - abs(mb), j - abs(mk)] == 0.0
 
     @pytest.mark.parametrize("m_ket", [-2, -1, 0, 1, 2])
     def test_cos_theta_matches_quadrature(self, m_ket):
@@ -192,12 +195,23 @@ class TestOperatorMatrix:
         assert np.abs(quad.imag).max() <= 1e-12
         assert np.abs(ladder - quad.real).max() <= 1e-10
 
+    @staticmethod
+    def _sin_block(kind: str, bra: BasisSpec, ket: BasisSpec) -> np.ndarray:
+        """The library's block for m_bra = m_ket + 1, else its Hermitian conjugate.
+
+        The operator is Hermitian, so the m_bra = m_ket - 1 block is the transpose
+        of the other; for sin*sin, returned divided by i, that adds a sign.
+        """
+        if bra.m == ket.m + 1:
+            return operator_matrix(kind, bra, ket)
+        return (-1.0 if kind == "sin_theta_sin_phi" else 1.0) * operator_matrix(kind, ket, bra).T
+
     @pytest.mark.parametrize("m_ket", [-2, -1, 0, 1, 2])
     @pytest.mark.parametrize("dm", [-1, 1])
     def test_sin_cos_phi_matches_quadrature(self, m_ket, dm):
         bra = BasisSpec(m=m_ket + dm, j_max=5)
         ket = BasisSpec(m=m_ket, j_max=5)
-        ladder = operator_matrix("sin_theta_cos_phi", bra, ket)
+        ladder = self._sin_block("sin_theta_cos_phi", bra, ket)
         quad = quad_operator_matrix("sin_theta_cos_phi", bra, ket)
         assert np.abs(quad.imag).max() <= 1e-12
         assert np.abs(ladder - quad.real).max() <= 1e-10
@@ -208,7 +222,7 @@ class TestOperatorMatrix:
         # The library returns the operator divided by i.
         bra = BasisSpec(m=m_ket + dm, j_max=5)
         ket = BasisSpec(m=m_ket, j_max=5)
-        ladder = operator_matrix("sin_theta_sin_phi", bra, ket)
+        ladder = self._sin_block("sin_theta_sin_phi", bra, ket)
         quad = quad_operator_matrix("sin_theta_sin_phi", bra, ket) / 1j
         assert np.abs(quad.imag).max() <= 1e-12
         assert np.abs(ladder - quad.real).max() <= 1e-10
