@@ -139,7 +139,7 @@ def cmd_stark_map(args) -> tuple[Table, dict | None]:
 def cmd_moments(args) -> tuple[Table, dict | None]:
     curves = moment_curves(parse_grid(args.x_grid), args.j_max)
     columns = ("x", "e0", "e1", "delta_e", "c0", "c1", "cx")
-    rows = [tuple(float(curves[key][i]) for key in columns) for i in range(len(curves["x"]))]
+    rows = list(zip(*(curves[key].tolist() for key in columns)))
     return Table(schema="moments.v1", columns=columns, rows=rows), None
 
 

@@ -178,19 +178,38 @@ def xyz_matrix(constants: HeisenbergConstants) -> NDArray[np.float64]:
 
 
 def coupling_surface(x_grid, alpha_grid, j_max: int = DEFAULT_J_MAX) -> Table:
-    """Coupling constants per unit Omega over an (x, alpha) grid.
+    """Coupling constants per unit Omega over an (x, alpha) grid, rows x-major.
 
     Rows (x, alpha, jx_over_omega, jy_over_omega, jz_over_omega,
     gamma2_over_omega), where gamma2 is the part of gamma proportional to
-    Omega.
+    Omega.  Each factor is computed once per x (the moments and their powers)
+    or once per alpha (3 cos^2 alpha), as :func:`heisenberg_constants` computes
+    it; only the final + - * / run over the grid, in the same order, so every
+    row equals :func:`heisenberg_constants` at Omega = 1 bit for bit.
     """
-    rows = []
-    for x in np.asarray(x_grid, dtype=float):
-        mset = moments(float(x), j_max)
-        for alpha in np.asarray(alpha_grid, dtype=float):
-            hc = heisenberg_constants(mset, CouplingGeometry(omega=1.0, alpha=float(alpha)))
-            gamma2 = (3.0 * math.cos(alpha) ** 2 - 1.0) * (mset.c0**2 - mset.c1**2) / 4.0
-            rows.append((float(x), float(alpha), hc.jx, hc.jy, hc.jz, gamma2))
+    xs = [float(x) for x in np.asarray(x_grid, dtype=float)]
+    alphas = [float(a) for a in np.asarray(alpha_grid, dtype=float)]
+    if not xs or not alphas:
+        raise ValueError(
+            f"coupling surface needs a non-empty grid, got {len(xs)} x and {len(alphas)} alpha values"
+        )
+    for a in alphas:
+        CouplingGeometry(omega=1.0, alpha=a)  # the one tilt check, with its message
+    msets = [moments(x, j_max) for x in xs]
+    # Per x, as Python scalars: libm pow and numpy's square can differ by an ulp.
+    cx = np.array([[m.cx] for m in msets])
+    diff_sq = np.array([[(m.c0 - m.c1) ** 2] for m in msets])
+    sq_diff = np.array([[m.c0**2 - m.c1**2] for m in msets])
+    cos2 = np.array([3.0 * math.cos(a) ** 2 for a in alphas])
+    shape = (len(xs), len(alphas))
+    columns = (
+        np.broadcast_to(np.array(xs)[:, None], shape),
+        np.broadcast_to(np.array(alphas), shape),
+        (cos2 - 2.0) * cx * cx,
+        np.broadcast_to(cx * cx, shape),
+        (1.0 - cos2) * diff_sq / 4.0,
+        (cos2 - 1.0) * sq_diff / 4.0,
+    )
     return Table(
         schema="coupling_surface.v1",
         columns=(
@@ -201,5 +220,5 @@ def coupling_surface(x_grid, alpha_grid, j_max: int = DEFAULT_J_MAX) -> Table:
             "jz_over_omega",
             "gamma2_over_omega",
         ),
-        rows=rows,
+        rows=list(zip(*(c.ravel().tolist() for c in columns))),
     )

@@ -2,19 +2,25 @@
 
 CSV layout: one `# schema=<name>` comment line, a header line, then data
 rows.  '.' decimal, ',' separator, LF line endings, floats at 12 significant
-digits, so identical inputs serialize to identical bytes.  JSON writes floats
+digits, so identical inputs serialize to identical bytes.  A row whose cells
+are all Python floats goes out through one format string built from that
+same float format, so it matches the per-cell route byte for byte; any other
+row goes through `csv.writer`, which quotes where needed.  JSON writes floats
 at the same 12 digits, a non-finite float as null and -0.0 as 0.0.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import Any
+
+#: The one CSV float format: 12 significant digits.
+_FLOAT = "%.12g"
 
 
 @dataclass(frozen=True)
@@ -38,20 +44,21 @@ def _format_value(value: Any) -> Any:
     if isinstance(value, (int,)):
         return str(value)
     if isinstance(value, float):
-        if value == 0.0:  # avoid '-0' artifacts
-            return "0"
-        return f"{value:.12g}"
+        return _FLOAT % (value + 0.0)  # + 0.0 turns -0.0 into 0
     return str(value)
 
 
 def render_csv(table: Table) -> str:
-    buf = io.StringIO()
-    buf.write(f"# schema={table.schema}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+    lines = [f"# schema={table.schema}\n"]
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(table.columns)
+    float_row = ",".join([_FLOAT] * len(table.columns)) + "\n"
     for row in table.rows:
-        writer.writerow([_format_value(v) for v in row])
-    return buf.getvalue()
+        if len(row) == len(table.columns) and all(type(v) is float for v in row):
+            lines.append(float_row % tuple([v + 0.0 for v in row]))
+        else:
+            writer.writerow([_format_value(v) for v in row])
+    return "".join(lines)
 
 
 def _json_value(value: Any) -> Any:
@@ -61,7 +68,7 @@ def _json_value(value: Any) -> Any:
         if not math.isfinite(value):
             return None  # JSON (RFC 8259) has no NaN or infinity
         # Round-trips exactly while keeping payloads readable; + 0.0 turns -0.0 into 0.0.
-        return float(f"{value:.12g}") + 0.0
+        return float(_FLOAT % value) + 0.0
     return value
 
 

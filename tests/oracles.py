@@ -4,15 +4,19 @@ Everything here deliberately avoids the code paths under test: matrix
 elements come from brute-force spherical quadrature, derivatives from
 central differences, XX-chain energies from the free-fermion mapping, the
 pseudo-spin moments from the public full-spectrum solver, chain ground
-states from every magnetization sector, with no pruning, and the full chain
-Hamiltonian from Kronecker products of Pauli matrices.  The dense Stark
+states from every magnetization sector, with no pruning, the full chain
+Hamiltonian from Kronecker products of Pauli matrices, and CSV text from
+``csv.writer`` one formatted cell at a time.  The dense Stark
 matrix is the library's own tridiagonal written out in full, so that scipy's
 checked solver and the element tests can read it.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import replace
+from enum import Enum
 from functools import cache
 
 import numpy as np
@@ -377,3 +381,30 @@ def full_double_sigmoid_fit(xs, ys, initial) -> np.ndarray:
     lower = [-np.inf] * 3 + [xs.min() - span] * 2 + [1e-8, 1e-8]
     upper = [np.inf] * 3 + [xs.max() + span] * 2 + [np.inf] * 2
     return _double_sigmoid_trf(xs, ys, initial, lower, upper)
+
+
+def _csv_reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if value == 0.0:  # avoid '-0' artifacts
+            return "0"
+        return f"{value:.12g}"
+    return str(value)
+
+
+def csv_reference(table) -> str:
+    """The table's CSV text, every row through ``csv.writer`` one formatted cell at a time."""
+    buf = io.StringIO()
+    buf.write(f"# schema={table.schema}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([_csv_reference_cell(v) for v in row])
+    return buf.getvalue()

@@ -303,7 +303,7 @@ class TestRejectedChainInputs:
 class TestRejectedMomentInputs:
     """Non-finite fields, couplings and axes, a non-numeric tilt, constants that overflow, bad lab
     fields and separations (including an r whose cube under- or overflows), bad cutoffs, too few fit
-    samples and too small a basis are usage errors (exit 2)."""
+    samples, too small a basis and an empty tilt grid are usage errors (exit 2)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -340,6 +340,8 @@ class TestRejectedMomentInputs:
             ["couplings", "--molecule", "SrO", "--epsilon", "13.5"],
             ["stark-map", "--x-max", "-1"],
             ["fit", "--quantity", "gap", "--x-step", "0"],
+            ["coupling-grid", "--alpha-grid", ","],
+            ["coupling-grid", "--alpha-grid="],
         ],
         ids=[
             "couplings-omega-nan",
@@ -374,6 +376,8 @@ class TestRejectedMomentInputs:
             "couplings-molecule-without-r",
             "stark-map-x-max-negative",
             "fit-x-step-zero",
+            "coupling-grid-alpha-empty",
+            "coupling-grid-alpha-blank",
         ],
     )
     def test_usage_error(self, argv, capsys):

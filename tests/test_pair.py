@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pendular.chain import molecular_chain
 from pendular.moments import moments
@@ -226,3 +228,34 @@ class TestCouplingSurface:
         row = table.rows[0]  # x=2, alpha=0
         assert row[4] == pytest.approx(-((m.c0 - m.c1) ** 2) / 2.0, rel=1e-12)
         assert row[3] == pytest.approx(m.cx**2, rel=1e-12)
+
+    def test_rejects_an_empty_grid(self):
+        for x_grid, alpha_grid in (([1.0], []), ([], [0.0]), ([], []), (np.array([]), np.radians([0.0, 45.0]))):
+            with pytest.raises(ValueError, match="non-empty grid"):
+                coupling_surface(x_grid, alpha_grid)
+
+    @pytest.mark.parametrize("alpha", [-1e-9, math.pi / 2 + 1e-9, math.nan, math.inf])
+    def test_rejects_alpha_outside_the_quarter_turn(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, pi/2\]"):
+            coupling_surface([1.0, 2.0], [0.0, alpha])
+
+    # libm pow and numpy's square give different (c0 - c1)^2 at x = 0.79 and 4.1 (one ulp), so
+    # those two points catch a surface that squares in numpy.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        xs=st.lists(st.floats(0.0, 12.0), max_size=4),
+        alphas=st.lists(st.floats(0.0, math.pi / 2), max_size=4),
+    )
+    def test_equals_heisenberg_constants_per_point(self, xs, alphas):
+        xs = [0.0, 0.79, 4.1, *xs]
+        alphas = [0.0, MAGIC_ANGLE, math.pi / 2, *alphas]
+        table = coupling_surface(xs, alphas)
+        expected = []
+        for x in xs:
+            m = moments(x)
+            for alpha in alphas:
+                hc = heisenberg_constants(m, CouplingGeometry(1.0, alpha))
+                gamma2 = (3.0 * math.cos(alpha) ** 2 - 1.0) * (m.c0**2 - m.c1**2) / 4.0
+                expected.append((x, alpha, hc.jx, hc.jy, hc.jz, gamma2))
+        assert all(type(v) is float for row in table.rows for v in row)
+        assert [tuple(map(repr, row)) for row in table.rows] == [tuple(map(repr, row)) for row in expected]

@@ -1,9 +1,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import csv_reference
 
 from pendular.chain import Phase
+from pendular.fits import comparison_table
+from pendular.pair import coupling_surface
 from pendular.tables import Table, render_csv, render_json
 
 
@@ -56,3 +62,38 @@ def test_json_writes_non_finite_as_null_and_negative_zero_as_zero():
 
 def test_column_accessor(table):
     assert table.column("label") == ["a", "b"]
+
+
+EDGE_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e22, 123456789012345.0)
+
+
+class TestCsvMatchesPerCellReference:
+    """`render_csv` against `oracles.csv_reference`, the per-cell `csv.writer` route, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [EDGE_FLOATS, EDGE_FLOATS[::-1], (-1e-300, 1.0 / 3.0, -2.5, 1e-5, 0.1, 1e16, -1e16, 2.0**60)],
+            [(np.float64(-0.0), np.float64(0.25), 3, True, Phase.FERROMAGNETIC, None, False, -0.0)],
+            [("a,b", 'say "hi"', "two\nlines", "", "plain", 1.5, -0.0, None)],
+            [EDGE_FLOATS, (1.0, "x", None, 2, False, Phase.ANTIFERROMAGNETIC, np.float64(-0.0), 0.5), EDGE_FLOATS],
+            [(1.0, 2.0), (1.0,) * 9, ()],
+            [],
+        ],
+        ids=["edge-floats", "non-float-cells", "quoted-strings", "float-next-to-mixed", "short-and-long", "no-rows"],
+    )
+    def test_fixed_rows(self, rows):
+        table = Table(schema="s.v1", columns=tuple(f"c{i}" for i in range(8)), rows=rows)
+        assert render_csv(table) == csv_reference(table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(), min_size=3, max_size=3).map(tuple), max_size=20))
+    def test_drawn_float_rows(self, rows):
+        table = Table(schema="s.v1", columns=("a", "b", "c"), rows=rows)
+        assert render_csv(table) == csv_reference(table)
+
+    def test_surface_and_fit_tables(self):
+        surface = coupling_surface(np.linspace(0.05, 12.0, 240), np.linspace(0.0, math.pi / 2, 60))
+        tables = [surface] + [comparison_table(q)[0] for q in ("gap", "c0", "c1", "cx")]
+        for table in tables:
+            assert render_csv(table) == csv_reference(table)
