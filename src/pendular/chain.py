@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache, cached_property, partial
@@ -40,9 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .moments import MomentSet, moments
 from .pair import CouplingGeometry, heisenberg_constants
@@ -206,6 +202,10 @@ class _SectorSolution(NamedTuple):
 
 
 def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
+    # Imported here so that importing the package does not load scipy.linalg,
+    # and only Lanczos loads scipy.sparse.
+    from scipy.linalg import eigh
+
     s = _sector_structure(spec.n, k, spec.boundary)
     dim = s.dim
     data = _sector_data(spec, s)
@@ -230,6 +230,9 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
     elif method == "dense" or dim < 3 or (method == "auto" and dim <= DENSE_SECTOR_CUTOFF):
         energies, vecs = eigh(_dense(s, data), subset_by_index=[0, 1])
     else:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import ArpackError, eigsh
+
         # A fixed pseudo-random start vector keeps repeated scans
         # byte-identical; unlike a uniform one it overlaps every lattice
         # symmetry sector, so no level is missed.  ARPACK's restarts (after a
@@ -467,6 +470,8 @@ def phase_diagram(
     omega_row = [float(w) for w in omegas]
     tasks = [(float(x), omega_row, n, boundary, thresholds, j_max) for x in xs]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             blocks = list(pool.map(_phase_rows, tasks))
     else:

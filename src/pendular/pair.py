@@ -187,12 +187,12 @@ def coupling_surface(x_grid, alpha_grid, j_max: int = DEFAULT_J_MAX) -> Table:
     it; only the final + - * / run over the grid, in the same order, so every
     row equals :func:`heisenberg_constants` at Omega = 1 bit for bit.
     """
-    xs = [float(x) for x in np.asarray(x_grid, dtype=float)]
-    alphas = [float(a) for a in np.asarray(alpha_grid, dtype=float)]
-    if not xs or not alphas:
+    xs, alphas = np.asarray(x_grid, dtype=float), np.asarray(alpha_grid, dtype=float)
+    if xs.ndim != 1 or alphas.ndim != 1 or not xs.size or not alphas.size:
         raise ValueError(
-            f"coupling surface needs a non-empty grid, got {len(xs)} x and {len(alphas)} alpha values"
+            f"coupling surface needs a non-empty grid of two 1-D axes, got x {xs.shape} and alpha {alphas.shape}"
         )
+    xs, alphas = xs.tolist(), alphas.tolist()
     for a in alphas:
         CouplingGeometry(omega=1.0, alpha=a)  # the one tilt check, with its message
     msets = [moments(x, j_max) for x in xs]

@@ -28,7 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dstevd
 
 #: Basis truncation used throughout unless a caller overrides it.  Converges
 #: all quantities for reduced fields x <= 12 far beyond plotting precision.
@@ -129,6 +128,9 @@ def _stark_eigh(x: float, m: int, j_max: int) -> tuple[NDArray[np.float64], NDAr
     runs for a full solve, so results are bit-identical, but that wrapper's
     argument checks add about half the solve's own time.
     """
+    # Imported here so that importing the package does not load scipy.linalg.
+    from scipy.linalg.lapack import dstevd
+
     diag, off = _tridiagonal_elements(x, m, j_max)
     if diag.size == 1:  # dstevd rejects an empty off-diagonal
         return diag.copy(), np.ones((1, 1))

@@ -3,7 +3,8 @@
 The two conversion constants are derived here, once, from unit definitions
 (1 D = 1e-21/c C m; field in kV/cm = 1e5 V/m; rotational constants quoted
 as wavenumbers, i.e. energies of h*c*100*B joules per cm^-1; the
-dipole-dipole energy is mu^2/(4 pi eps0 r^3) with r in nm):
+dipole-dipole energy is mu^2/(4 pi eps0 r^3) with r in nm; c and h are the
+exact SI values and eps0 is CODATA 2022's, all written as literals):
 
     x      = STARK_RATIO  * mu[D] * eps[kV/cm] / B[cm^-1]
     Omega  = DIPOLE_COUPLING_CM1 * mu[D]^2 / r[nm]^3      (in cm^-1)
@@ -20,16 +21,18 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from scipy import constants as _const
+_C = 299792458.0  # m/s, exact
+_H = 6.62607015e-34  # J s, exact
+_EPSILON_0 = 8.8541878188e-12  # F/m, CODATA 2022
 
-_DEBYE_C_M = 1e-21 / _const.c
-_J_PER_CM1 = _const.h * _const.c * 100.0
+_DEBYE_C_M = 1e-21 / _C
+_J_PER_CM1 = _H * _C * 100.0
 
 #: Reduced field per (debye * kV/cm) per cm^-1 of rotational constant.
 STARK_RATIO = _DEBYE_C_M * 1e5 / _J_PER_CM1
 
 #: Dipole-dipole scale in cm^-1 for mu = 1 D at r = 1 nm.
-DIPOLE_COUPLING_CM1 = _DEBYE_C_M**2 / (4 * math.pi * _const.epsilon_0 * 1e-27) / _J_PER_CM1
+DIPOLE_COUPLING_CM1 = _DEBYE_C_M**2 / (4 * math.pi * _EPSILON_0 * 1e-27) / _J_PER_CM1
 
 
 class PresetError(ValueError):

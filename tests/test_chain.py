@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -127,7 +130,7 @@ class TestHamiltonian:
         data = chain_module._sector_data(spec, s)
         v = np.random.default_rng(7).normal(size=s.dim)
         dense = chain_module._dense(s, data) @ v
-        sparse = chain_module.csr_matrix((data, (s.rows, s.cols)), shape=(s.dim, s.dim)) @ v
+        sparse = scipy.sparse.csr_matrix((data, (s.rows, s.cols)), shape=(s.dim, s.dim)) @ v
         assert np.allclose(np.bincount(s.rows, data * v[s.cols], minlength=s.dim), dense, atol=1e-12)
         assert np.allclose(sparse, dense, atol=1e-12)
 
@@ -164,8 +167,8 @@ class TestSectorStructure:
 
     def test_only_lanczos_builds_a_sparse_matrix(self, monkeypatch):
         built = []
-        csr_matrix = chain_module.csr_matrix
-        monkeypatch.setattr(chain_module, "csr_matrix", lambda *a, **kw: built.append(a) or csr_matrix(*a, **kw))
+        csr_matrix = scipy.sparse.csr_matrix
+        monkeypatch.setattr(scipy.sparse, "csr_matrix", lambda *a, **kw: built.append(a) or csr_matrix(*a, **kw))
         # A dense n = 12 scan and two onsets build none.
         phase_diagram([1.5, 4.5, 7.5, 10.5], [1e-6, 1e-5, 1e-4], n=12)
         for x in (7.5, 10.5):
@@ -376,7 +379,8 @@ class TestGroundState:
         ],
     )
     def test_unconverged_eigenpair_is_rejected(self, monkeypatch, solver, method, spec, error):
-        exact = getattr(chain_module, solver)
+        module = {"eigsh": scipy.sparse.linalg, "eigh": scipy.linalg}[solver]
+        exact = getattr(module, solver)
 
         def perturbed(*args, **kwargs):
             energies, vecs = exact(*args, **kwargs)
@@ -384,7 +388,7 @@ class TestGroundState:
             vecs[0] += error
             return energies, vecs
 
-        monkeypatch.setattr(chain_module, solver, perturbed)
+        monkeypatch.setattr(module, solver, perturbed)
         with pytest.raises(SectorConvergenceError, match=rf"n={spec.n} chain: eigen-residual"):
             ground_state(spec, method=method)
 

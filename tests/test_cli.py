@@ -498,3 +498,53 @@ def test_import_skips_fit_and_root_finding_modules():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+
+SOLVER_IMPORT_PROBE = """
+import contextlib, io, json, sys
+SOLVER_MODULES = ("scipy.linalg", "scipy.sparse", "scipy.constants", "concurrent.futures.process")
+
+def loaded():
+    return [m for m in SOLVER_MODULES if m in sys.modules]
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+from pendular.cli import main
+loads, codes = {"import": loaded()}, {}
+for name, argv in [
+    ("version", ["--version"]),
+    ("convert", ["convert", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500"]),
+    ("usage", ["convert", "--molecule", "SrO", "--bogus"]),
+]:
+    codes[name] = run(argv)
+    loads[name] = loaded()
+from pendular import ChainSpec, ground_state, moments
+moments(1.0)
+loads["moments"] = loaded()
+ground_state(ChainSpec(n=8, j=1.0, jz=0.5, gamma=0.0), method="dense")
+loads["dense"] = loaded()
+print(json.dumps([codes, loads]))
+"""
+
+
+def test_only_solving_commands_load_scipy():
+    # A command that never solves loads neither scipy nor a process pool; a solve loads
+    # scipy.linalg, and a dense chain solve still leaves scipy.sparse to Lanczos.
+    proc = subprocess.run([sys.executable, "-c", SOLVER_IMPORT_PROBE], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    codes, loads = json.loads(proc.stdout)
+    assert codes == {"version": 0, "convert": 0, "usage": 2}
+    assert loads == {
+        "import": [],
+        "version": [],
+        "convert": [],
+        "usage": [],
+        "moments": ["scipy.linalg"],
+        "dense": ["scipy.linalg"],
+    }

@@ -234,6 +234,15 @@ class TestCouplingSurface:
             with pytest.raises(ValueError, match="non-empty grid"):
                 coupling_surface(x_grid, alpha_grid)
 
+    @pytest.mark.parametrize(
+        "x_grid,alpha_grid",
+        [(1.0, [0.0]), ([1.0], 0.5), ([[1.0, 2.0]], [0.0]), ([1.0], [[0.0], [0.5]])],
+        ids=["scalar-x", "scalar-alpha", "2d-x", "2d-alpha"],
+    )
+    def test_rejects_a_grid_that_is_not_1d(self, x_grid, alpha_grid):
+        with pytest.raises(ValueError, match="1-D axes"):
+            coupling_surface(x_grid, alpha_grid)
+
     @pytest.mark.parametrize("alpha", [-1e-9, math.pi / 2 + 1e-9, math.nan, math.inf])
     def test_rejects_alpha_outside_the_quarter_turn(self, alpha):
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, pi/2\]"):

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
-from pendular import rotor
 from pendular.moments import moments
 from pendular.rotor import (
     BasisSpec,
@@ -145,7 +145,7 @@ class TestDirectTridiagonalSolve:
         assert _stark_eigh(1.0, 1, 1)[0][0] == 2.0
 
     def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
-        monkeypatch.setattr(rotor, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
         with pytest.raises(EigensolverError, match=r"x=2\.0, m=0, j_max=5 \(dstevd info=3\)"):
             solve_pendular(2.0, BasisSpec(m=0, j_max=5))
         with pytest.raises(EigensolverError):

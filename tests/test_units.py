@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from scipy import constants
 
 from pendular.units import (
     DIPOLE_COUPLING_CM1,
@@ -28,6 +29,13 @@ class TestConversionConstants:
         independent = 1.0000e-22 / 1.986445857e-23
         assert DIPOLE_COUPLING_CM1 == pytest.approx(independent, rel=1e-4)
         assert DIPOLE_COUPLING_CM1 == pytest.approx(5.034, rel=1e-3)
+
+    def test_literals_equal_scipy_constants(self):
+        # The module writes c, h and eps0 as literals; derived from scipy's values the
+        # two constants come out bit for bit the same.
+        debye, j_per_cm1 = 1e-21 / constants.c, constants.h * constants.c * 100.0
+        assert STARK_RATIO == debye * 1e5 / j_per_cm1
+        assert DIPOLE_COUPLING_CM1 == debye**2 / (4 * math.pi * constants.epsilon_0 * 1e-27) / j_per_cm1
 
 
 class TestConversions:
