@@ -9,14 +9,14 @@ on site i.  Total magnetization is conserved, so H is block-diagonal over
 popcount sectors; within a sector the gamma term is the constant shift
 -gamma*(2k - n).  A sector is solved at most once, at gamma = 0, for its two
 lowest levels and ground vector; every gamma, and in a scan every Omega > 0
-(which multiplies the gamma-free part), is arithmetic on that solve.  A
-sector is skipped when a lower bound on its levels shows that it cannot
-change the result: first Weyl's bound, the bond count times the lowest
-two-site level, the same for every sector; then, for polarization onsets and
-only where that fails, the half-chain bound of each sector (the lowest level
-of two open half-chains at that total magnetization, plus Weyl's bound on the
-cut bonds).  Small sectors are diagonalized densely, larger ones by Lanczos,
-and every solved eigenpair is checked by its residual against the sector
+(which multiplies the gamma-free part), is arithmetic on that solve.  The
+ground state and the polarization onset share one search, which solves a
+sector only while lower bounds on its levels leave it able to change the
+result: Weyl's bound (the bond count times the lowest two-site level, the
+same for every sector), then the sector's half-chain bound (the lowest level
+of two open half-chains at that magnetization, plus Weyl's bound on the cut
+bonds).  Small sectors are diagonalized densely, larger ones by Lanczos, and
+every solved eigenpair is checked by its residual against the sector
 matrix's norm.  The xy part acts as a flip-flop of amplitude 2 j on
 anti-aligned neighbor pairs.
 
@@ -291,8 +291,6 @@ class _SectorSpectra:
     solve serves every gamma and every positive scale.  A bond term has the
     levels jz, jz and -jz +- 2j, so by Weyl's inequality every lambda_k lies
     in [floor, ceil], the bond count times the lowest and highest of them.
-    The sharper per-sector bound ``split[k]`` serves ``onset_gamma``; it is
-    computed on first use, only where ``floor`` cannot rule a sector out.
     Observables are computed only for sectors that win, once each.
     """
 
@@ -334,36 +332,41 @@ class _SectorSpectra:
         """Gap below which two sector ground levels tie: 1e-12 of a bound on every |level|."""
         return 1e-12 * (scale * max(abs(self.floor), abs(self.ceil)) + abs(gamma) * self.spec.n)
 
+    def _search(self, order, value, tol: float, rank: int) -> tuple[dict[int, float], list[float]]:
+        """Solve the sectors in ``order`` that can hold one of the ``rank`` least values of all levels.
+
+        ``value(k, lam)`` is the caller's value of level lam of sector k, rising with lam; ``order`` is by
+        rising ``value(k, floor)``.  A sector whose bound passes the rank-th least value so far plus twice
+        the tie tolerance ``tol`` can neither hold nor tie one: the search stops at the first by ``floor``
+        and skips one by ``split[k]``.  Returns each solved sector's lowest value, and all values sorted.
+        """
+        lowest, levels = {}, []
+        for k in order:
+            limit = levels[rank - 1] + 2.0 * tol if len(levels) >= rank else math.inf
+            if value(k, self.floor) > limit:
+                break
+            if limit < math.inf and value(k, self.split[k]) > limit:
+                continue
+            s = self.sector(k)
+            lowest[k] = value(k, s.lowest)
+            levels = sorted(levels + [value(k, e) for e in (s.lowest, s.second) if e is not None])
+        return lowest, levels
+
     def onset_gamma(self) -> float:
         """Smallest gamma at which the fully polarized sector is the global ground."""
-        n = self.spec.n
-        e_top = self.sector(n).lowest
-        margin = 2.0 * self.tie_tolerance(0.0, 1.0)
-        onset = -math.inf
-        for k in range(n - 1, -1, -1):
-            # lambda_k >= floor caps sector k's crossing field; the cap falls with k.
-            if (e_top - self.floor) / (2.0 * (n - k)) + margin < onset:
-                break
-            # lambda_k >= split[k] caps this sector alone.
-            if (e_top - self.split[k]) / (2.0 * (n - k)) + margin < onset:
-                continue
-            onset = max(onset, (e_top - self.sector(k).lowest) / (2.0 * (n - k)))
-        return onset
+        n, e_top = self.spec.n, self.sector(self.spec.n).lowest
+        # Sector k < n crosses the polarized one at gamma = (e_top - lambda_k) / (2 (n - k)); the search
+        # minimizes minus that field, so the onset, the largest crossing, is minus the least value.
+        crossings, _ = self._search(
+            range(n - 1, -1, -1), lambda k, e: -(e_top - e) / (2.0 * (n - k)), self.tie_tolerance(0.0, 1.0), 1
+        )
+        return -min(crossings.values())
 
     def ground_state(self, gamma: float, scale: float = 1.0) -> ChainResult:
-        n = self.spec.n
-        tol = self.tie_tolerance(gamma, scale)
-        lowest: dict[int, float] = {}
-        levels: list[float] = []
-        # Visit sectors by their bound scale * floor - gamma * (2k - n); once it exceeds the
-        # second level found by twice the tie tolerance, no other sector can win, tie or set the gap.
-        for k in sorted(range(n + 1), key=lambda k: -gamma * (2 * k - n)):
-            shift = -gamma * (2 * k - n)
-            if len(levels) > 1 and scale * self.floor + shift > levels[1] + 2.0 * tol:
-                break
-            s = self.sector(k)
-            lowest[k] = scale * s.lowest + shift
-            levels = sorted(levels + [scale * e + shift for e in (s.lowest, s.second) if e is not None])
+        n, tol = self.spec.n, self.tie_tolerance(gamma, scale)
+        order = sorted(range(n + 1), key=lambda k: -gamma * (2 * k - n))
+        # The two least levels decide the winner, its ties and the gap.
+        lowest, levels = self._search(order, lambda k, e: scale * e - gamma * (2 * k - n), tol, 2)
         tied = [k for k, e in lowest.items() if e - levels[0] <= tol]
         winner = max(tied)
         obs = self.observables(winner)
@@ -382,10 +385,9 @@ class _SectorSpectra:
 def ground_state(spec: ChainSpec, method: str = "auto") -> ChainResult:
     """Global ground state across magnetization sectors, with observables.
 
-    Sectors are solved in the order of their Weyl lower bound until no
-    other can hold the ground level, a tie with it or the first excited
-    level (two sectors in a strong field); the result equals that of solving
-    every sector.  ``method`` applies to the solved sectors: "auto" (dense
+    Only the sectors that can hold the ground level, a tie with it or the
+    first excited level are solved (two in a strong field); the result equals
+    that of solving every sector.  ``method`` applies to the solved sectors: "auto" (dense
     only up to :data:`DENSE_SECTOR_CUTOFF` states, Lanczos above), "dense",
     or "iterative" (Lanczos from three states up, dense when Lanczos breaks
     down on a sector of at most :data:`DENSE_FALLBACK_CUTOFF` states).  A
@@ -404,10 +406,8 @@ def polarization_onset_gamma(
     """Smallest gamma at which the fully polarized state is the global ground.
 
     Within each sector gamma only shifts energies by -gamma*(2k - n), so the
-    crossing field follows exactly from the gamma-free sector spectra, less
-    the sectors whose crossing is capped below one already found: all the
-    remaining ones once the Weyl bound caps them, and single sectors by
-    their half-chain bound.
+    crossing field follows exactly from the gamma-free spectra of the
+    sectors whose crossing no bound caps below one already found.
     """
     spec = ChainSpec(n=n, j=j, jz=jz, gamma=0.0, boundary=boundary)
     return _SectorSpectra(spec, method).onset_gamma()
@@ -459,8 +459,8 @@ def phase_diagram(
         raise ValueError(f"workers must be at least 1, got {workers}")
     xs = np.asarray(x_grid, dtype=float)
     omegas = np.asarray(omega_grid, dtype=float)
-    if xs.size == 0 or omegas.size == 0:
-        raise ValueError("phase diagram grids must not be empty")
+    if xs.ndim != 1 or omegas.ndim != 1 or not xs.size or not omegas.size:
+        raise ValueError(f"phase diagram needs non-empty 1-D grids, got x {xs.shape} and Omega/B {omegas.shape}")
     if not np.all(np.isfinite(xs)) or np.any(xs < 0):
         raise ValueError(f"phase diagram x values must be finite and non-negative, got {xs.tolist()}")
     if not np.all(np.isfinite(omegas)) or np.any(omegas <= 0):

@@ -185,8 +185,8 @@ def _grid_curves(stop: float, step: float, j_max: int) -> dict[str, NDArray[np.f
 
 def _validated_grid(x_grid) -> NDArray[np.float64]:
     xs = np.asarray(x_grid, dtype=np.float64)
-    if xs.size == 0:
-        raise ValueError("x grid must not be empty")
+    if xs.ndim != 1 or not xs.size:
+        raise ValueError(f"x grid must be a non-empty 1-D array, got shape {xs.shape}")
     if np.any(xs < 0):
         raise ValueError("x grid must be non-negative")
     if np.any(np.diff(xs) <= 0):

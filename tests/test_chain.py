@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -451,6 +452,11 @@ class TestSectorPruning:
     )
     @example(n=9, boundary="open", j=7.277636563252931e-134, jz=1.0, gamma=0.0, scale=1.0, method="iterative")
     @example(n=3, boundary="open", j=2.2250738585e-313, jz=0.0, gamma=0.0, scale=1.0, method="iterative")
+    # The half-chain bound rules sectors out of the ground state on each of these.
+    @example(n=8, boundary="open", j=1.0, jz=-2.0, gamma=0.3, scale=1.0, method="auto")
+    @example(n=9, boundary="open", j=1.0, jz=-2.5, gamma=0.0, scale=1.0, method="dense")
+    @example(n=10, boundary="periodic", j=0.5, jz=-1.5, gamma=0.2, scale=1.0, method="iterative")
+    @example(n=10, boundary="open", j=1.0, jz=0.5, gamma=0.7, scale=10.0, method="iterative")
     def test_equals_all_sector_solve(self, n, boundary, j, jz, gamma, scale, method):
         spec = ChainSpec(n=n, j=j, jz=jz, gamma=gamma, boundary=boundary)
         expected, onset = all_sectors_ground_state(spec, method)
@@ -496,8 +502,8 @@ class TestSectorPruning:
         assert calls == [12, 11] * len(xs)
 
     @staticmethod
-    def _onset_calls(monkeypatch, x: float, n: int) -> list[tuple[int, int]]:
-        """(sites, sector) of every sector solve in one molecular polarization onset."""
+    def _counted_solves(monkeypatch) -> list[tuple[int, int]]:
+        """(sites, sector) of every sector solve from here on."""
         solve = chain_module._solve_sector
         calls = []
 
@@ -506,9 +512,36 @@ class TestSectorPruning:
             return solve(spec, k, method)
 
         monkeypatch.setattr(chain_module, "_solve_sector", counted)
+        return calls
+
+    @classmethod
+    def _onset_calls(cls, monkeypatch, x: float, n: int) -> list[tuple[int, int]]:
+        """(sites, sector) of every sector solve in one molecular polarization onset."""
+        calls = cls._counted_solves(monkeypatch)
         spec = molecular_chain(moments(x), 1e-5, n=n)
         polarization_onset_gamma(n, spec.j, spec.jz)
         return calls
+
+    @pytest.mark.parametrize("x,sectors", [(0.5, [0, 1, 6]), (2.0, [12, 11])])
+    def test_strong_coupling_scan_skips_sectors_by_the_half_chain_bound(self, monkeypatch, x, sectors):
+        # At Omega/B = 10 the Weyl floor admits sectors 0 to 7 at x = 0.5 (4 to 7 by Lanczos)
+        # and 12 to 8 at x = 2; the half-chain bound rules out all but these.
+        calls = self._counted_solves(monkeypatch)
+        phase_diagram([x], [10.0], n=12)
+        assert [k for n, k in calls if n == 12] == sectors
+        assert sorted(k for n, k in calls if n == 6) == list(range(7))
+        assert {n for n, _ in calls} == {12, 6}
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 12.0])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_strong_coupling_rows_equal_all_sector_solve(self, boundary, x):
+        mset = moments(x)
+        unit = molecular_chain(mset, 1.0, 12, boundary)
+        spectra = chain_module._SectorSpectra(unit, "auto")
+        for omega in (1.0, 3.0, 10.0):
+            spec = molecular_chain(mset, omega, 12, boundary)
+            expected = all_sectors_ground_state(replace(unit, gamma=spec.gamma), "auto", omega)[0]
+            assert spectra.ground_state(spec.gamma, scale=omega) == expected
 
     @pytest.mark.parametrize("x", [7.5, 10.5])
     def test_molecular_onset_solves_three_sectors(self, monkeypatch, x):
@@ -644,6 +677,15 @@ class TestPhaseDiagram:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             phase_diagram([], [1e-5], n=4)
+
+    @pytest.mark.parametrize(
+        "xs,omegas",
+        [(1.0, [1e-5]), ([[1.0, 2.0]], [1e-5]), ([1.0], 1e-5), ([1.0], [[1e-5], [1e-4]])],
+        ids=["x-0d", "x-2d", "omega-0d", "omega-2d"],
+    )
+    def test_rejects_a_grid_that_is_not_1d(self, xs, omegas):
+        with pytest.raises(ValueError, match=re.escape(f"x {np.shape(xs)} and Omega/B {np.shape(omegas)}")):
+            phase_diagram(xs, omegas, n=4)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_rejects_non_positive_workers(self, workers):

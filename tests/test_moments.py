@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,12 @@ class TestStarkMap:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             stark_map([1.0, 0.5])
+
+    @pytest.mark.parametrize("grid", [1.0, [[0.0, 1.0], [2.0, 3.0]]], ids=["0d", "2d"])
+    @pytest.mark.parametrize("route", [stark_map, moment_curves])
+    def test_rejects_a_grid_that_is_not_1d(self, route, grid):
+        with pytest.raises(ValueError, match=re.escape(f"1-D array, got shape {np.shape(grid)}")):
+            route(grid)
 
     def test_rejects_negative_grid(self):
         with pytest.raises(ValueError):
