@@ -15,10 +15,11 @@ sector only while lower bounds on its levels leave it able to change the
 result: Weyl's bound (the bond count times the lowest two-site level, the
 same for every sector), then the sector's half-chain bound (the lowest level
 of two open half-chains at that magnetization, plus Weyl's bound on the cut
-bonds).  Small sectors are diagonalized densely, larger ones by Lanczos, and
-every solved eigenpair is checked by its residual against the sector
-matrix's norm.  The xy part acts as a flip-flop of amplitude 2 j on
-anti-aligned neighbor pairs.
+bonds; the field-free halves commute with the global spin flip, so each
+pair of half sectors k and size - k is solved once).  Small sectors go
+straight to LAPACK's dsyevr, larger ones to Lanczos, and every solved
+eigenpair is checked by its residual against the sector matrix's norm.  The
+xy part acts as a flip-flop of amplitude 2 j on anti-aligned neighbor pairs.
 
 A sector's matrix is its couplings times coupling-free patterns: the (row,
 col) entries of the flip-flops and the diagonal, the sz sz value of each bond
@@ -79,14 +80,20 @@ class ChainSpec:
     boundary: str = "open"
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.j, self.jz, self.gamma)):
-            raise ValueError(f"couplings must be finite, got j={self.j}, jz={self.jz}, gamma={self.gamma}")
         if not isinstance(self.n, numbers.Integral):
             raise ValueError(f"site count must be an integer, got {self.n!r}")
         if not 2 <= self.n <= MAX_SITES:
             raise ValueError(f"site count must be in [2, {MAX_SITES}], got {self.n}")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
+        # Twice a bound on every |level|: finite, so is every level, gap and tie
+        # tolerance the sector search forms, and no solver sees an inf or nan.
+        bound = 2.0 * (len(self.bonds) * (abs(self.jz) + 2.0 * abs(self.j)) + self.n * abs(self.gamma))
+        if not math.isfinite(bound):
+            raise ValueError(
+                f"couplings must be finite with finite levels, got n={self.n}, "
+                f"j={self.j}, jz={self.jz}, gamma={self.gamma}"
+            )
 
     @property
     def bonds(self) -> list[tuple[int, int]]:
@@ -179,19 +186,49 @@ def _sector_structure(n: int, k: int, boundary: str) -> _SectorStructure:
 def _sector_data(spec: ChainSpec, s: _SectorStructure) -> NDArray[np.float64]:
     """Values of the entries ``(s.rows, s.cols)`` at gamma = 0: j and jz times the cached patterns."""
     flips = len(s.rows) - s.dim
-    data = np.zeros(len(s.rows))
+    data = np.empty(len(s.rows))
     data[:flips] = 2.0 * spec.j
-    diag = data[flips:]
-    # Bond by bond, in bond order: one product jz * (sum of zz) rounds differently.
-    for zz in s.zz:
-        diag += spec.jz * zz
+    # Summed bond by bond, in bond order (one product jz * (sum of zz) rounds
+    # differently); adding 0.0 turns an all -0.0 sum into the +0.0 that a sum
+    # started from zero gives.
+    data[flips:] = np.add.accumulate(spec.jz * s.zz, axis=0)[-1] + 0.0
     return data
 
 
 def _dense(s: _SectorStructure, data: NDArray[np.float64]) -> NDArray[np.float64]:
-    h = np.zeros((s.dim,) * 2)
+    # Fortran order, which LAPACK reads without a copy.
+    h = np.zeros((s.dim,) * 2, order="F")
     h[s.rows, s.cols] = data
     return h
+
+
+@cache
+def _dsyevr_workspace(dim: int) -> tuple[int, int]:
+    """LAPACK dsyevr's work and integer work sizes for a dim-state sector, queried as scipy's eigh queries them."""
+    from scipy.linalg.lapack import dsyevr_lwork
+
+    work, iwork, info = dsyevr_lwork(dim, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr workspace query failed for dim {dim} (info={info})")
+    return int(work), int(iwork)
+
+
+def _dense_lowest_pair(s: _SectorStructure, data: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
+    """The two lowest eigenpairs of a sector matrix, ascending.
+
+    Calls LAPACK ``dsyevr`` as ``scipy.linalg.eigh(h, subset_by_index=[0, 1])``
+    does, so results are bit-identical, but without that wrapper's checks.
+    """
+    # Imported here so that importing the package does not load scipy.linalg.
+    from scipy.linalg.lapack import dsyevr
+
+    lwork, liwork = _dsyevr_workspace(s.dim)
+    energies, vecs, _, _, info = dsyevr(
+        _dense(s, data), range="I", il=1, iu=2, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed on a {s.dim}-state sector (info={info})")
+    return energies[:2], vecs
 
 
 class _SectorSolution(NamedTuple):
@@ -202,10 +239,6 @@ class _SectorSolution(NamedTuple):
 
 
 def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
-    # Imported here so that importing the package does not load scipy.linalg,
-    # and only Lanczos loads scipy.sparse.
-    from scipy.linalg import eigh
-
     s = _sector_structure(spec.n, k, spec.boundary)
     dim = s.dim
     data = _sector_data(spec, s)
@@ -213,6 +246,8 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
         return _SectorSolution(k, float(data[0]), None, np.ones(1))
     # Largest absolute row sum; every row stores its diagonal entry.
     norm = float(np.bincount(s.rows, np.abs(data)).max())
+    if not math.isfinite(norm):
+        raise SectorConvergenceError(f"sector k={k} (dim {dim}) of n={spec.n} chain: matrix norm {norm}")
     # The entries scaled by a power of two to unit norm (entrywise, since the
     # factor itself overflows for a subnormal norm).  ARPACK's convergence
     # test has an absolute floor, and the residual's sum of squares underflows
@@ -228,8 +263,9 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
         vecs = np.zeros((dim, 2))
         vecs[order, [0, 1]] = 1.0
     elif method == "dense" or dim < 3 or (method == "auto" and dim <= DENSE_SECTOR_CUTOFF):
-        energies, vecs = eigh(_dense(s, data), subset_by_index=[0, 1])
+        energies, vecs = _dense_lowest_pair(s, data)
     else:
+        # Only Lanczos loads scipy.sparse.
         from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import ArpackError, eigsh
 
@@ -250,7 +286,7 @@ def _solve_sector(spec: ChainSpec, k: int, method: str) -> _SectorSolution:
                 raise SectorConvergenceError(
                     f"sector k={k} (dim {dim}) of n={spec.n} chain: {exc}"
                 ) from exc
-            energies, vecs = eigh(_dense(s, data), subset_by_index=[0, 1])
+            energies, vecs = _dense_lowest_pair(s, data)
         order = np.argsort(energies)
         energies, vecs = energies[order], vecs[:, order]
     lowest, vector = float(energies[0]), vecs[:, 0]
@@ -311,8 +347,10 @@ class _SectorSpectra:
         together lie at or above the least lambda_left(k1) + lambda_right(k - k1);
         each cut bond (one on an open chain, two on a ring) adds at least the
         lowest two-site level.  Never below ``floor``, and equal to it for n < 4.
-        Every sector of each distinct half size is solved once, densely, by the
-        same residual-checked solver as the chain (at even n both halves are one).
+        Each distinct half size is solved once, densely, by the same
+        residual-checked solver as the chain (at even n both halves are one).
+        A field-free half commutes with the global spin flip, which maps its
+        sector k onto size - k, so only sectors 0 to size // 2 are solved.
         """
         n, j, jz = self.spec.n, self.spec.j, self.spec.jz
         if n < 4:
@@ -320,7 +358,8 @@ class _SectorSpectra:
         minima = {}
         for size in {n // 2, n - n // 2}:
             half = ChainSpec(size, j, jz, 0.0)
-            minima[size] = np.array([_solve_sector(half, k, "dense").lowest for k in range(size + 1)])
+            low = [_solve_sector(half, k, "dense").lowest for k in range(size // 2 + 1)]
+            minima[size] = np.array(low + low[(size - 1) // 2 :: -1])
         left, right = minima[n // 2], minima[n - n // 2]
         halves = np.full(n + 1, np.inf)
         for k1, e in enumerate(left):

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: matrix
 elements come from brute-force spherical quadrature, derivatives from
 central differences, XX-chain energies from the free-fermion mapping, the
 pseudo-spin moments from the public full-spectrum solver, chain ground
-states from every magnetization sector, with no pruning, the full chain
+states from every magnetization sector, with no pruning, the half-chain
+bound from every half sector, the sector diagonal from a loop over the
+bonds, the full chain
 Hamiltonian from Kronecker products of Pauli matrices, and CSV text from
 ``csv.writer`` one formatted cell at a time.  The dense Stark
 matrix is the library's own tridiagonal written out in full, so that scipy's
@@ -336,6 +338,48 @@ def all_sectors_ground_state(spec, method: str = "auto", scale: float = 1.0):
     e_top = sectors[n].lowest
     onset = max((e_top - s.lowest) / (2.0 * (n - s.k)) for s in sectors[:n])
     return result, onset
+
+
+def bond_by_bond_sector_data(spec, s) -> np.ndarray:
+    """Values of a sector's entries ``(s.rows, s.cols)`` at gamma = 0, from a loop over the bonds.
+
+    2 j on every flip-flop, and the diagonal summed from zero one bond at a
+    time, in bond order, as ``chain._sector_data`` once built it.
+    """
+    flips = len(s.rows) - s.dim
+    data = np.zeros(len(s.rows))
+    data[:flips] = 2.0 * spec.j
+    diag = data[flips:]
+    for zz in s.zz:
+        diag += spec.jz * zz
+    return data
+
+
+def all_sector_half_chain_bound(spec) -> np.ndarray:
+    """Lower bound on each gamma-free sector level from the chain cut into two open halves.
+
+    The bound of ``chain._SectorSpectra.split`` with every sector of each half
+    solved, none mirrored by the spin flip: the least sum of the two halves'
+    sector minima at each total magnetization, plus the lowest two-site level
+    for each cut bond, and never below the Weyl floor.
+    """
+    from pendular import chain
+
+    n, j, jz = spec.n, spec.j, spec.jz
+    bond_floor = min(jz, -jz - 2.0 * abs(j))
+    floor = len(spec.bonds) * bond_floor
+    if n < 4:
+        return np.full(n + 1, floor)
+    minima = {}
+    for size in {n // 2, n - n // 2}:
+        half = chain.ChainSpec(size, j, jz, 0.0)
+        minima[size] = np.array([chain._solve_sector(half, k, "dense").lowest for k in range(size + 1)])
+    left, right = minima[n // 2], minima[n - n // 2]
+    halves = np.full(n + 1, np.inf)
+    for k1, e in enumerate(left):
+        halves[k1 : k1 + right.size] = np.minimum(halves[k1 : k1 + right.size], e + right)
+    cut_bonds = len(spec.bonds) - (n - 2)
+    return np.maximum(halves + cut_bonds * bond_floor, floor)
 
 
 def _double_sigmoid_trf(xs, ys, initial, lower, upper) -> np.ndarray:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import pendular.chain as chain_module
 from pendular.chain import (
+    MAX_SITES,
     ChainSpec,
     Phase,
     PhaseThresholds,
@@ -22,10 +23,13 @@ from pendular.chain import (
     phase_diagram,
     polarization_onset_gamma,
 )
+from pendular.cli import main
 from pendular.moments import moment_curves, moments
 
 from oracles import (
+    all_sector_half_chain_bound,
     all_sectors_ground_state,
+    bond_by_bond_sector_data,
     free_fermion_sector_minima,
     full_space_ground,
     one_magnon_saturation_gamma,
@@ -82,6 +86,21 @@ class TestChainSpec:
         with pytest.raises(ValueError, match="finite"):
             ChainSpec(n=4, **couplings)
 
+    @pytest.mark.parametrize(
+        "j,jz,gamma", [(1.0, 0.0, 5e307), (1.0, 0.0, 1e308), (1e308, 0.0, 0.0), (0.0, -6e307, 0.0)]
+    )
+    def test_rejects_couplings_whose_levels_overflow(self, j, jz, gamma):
+        with pytest.raises(ValueError, match=re.escape(f"n=4, j={j}, jz={jz}, gamma={gamma}")):
+            ChainSpec(4, j, jz, gamma)
+
+    def test_accepts_the_largest_finite_levels(self):
+        result = ground_state(ChainSpec(4, 1.0, 0.0, 1e307))
+        assert (result.ground_sector, result.ground_energy) == (4, -4e307)
+        # Three bonds at jz = -2.5e307 stay within the bound on the open chain; a fourth, on the ring, does not.
+        assert ground_state(ChainSpec(4, 0.0, -2.5e307, 0.0)).ground_energy == -7.5e307
+        with pytest.raises(ValueError, match="finite"):
+            ChainSpec(4, 0.0, -2.5e307, 0.0, "periodic")
+
     def test_bonds(self):
         open_spec = ChainSpec(n=4, j=1.0, jz=0.0, gamma=0.0)
         assert open_spec.bonds == [(0, 1), (1, 2), (2, 3)]
@@ -134,6 +153,52 @@ class TestHamiltonian:
         sparse = scipy.sparse.csr_matrix((data, (s.rows, s.cols)), shape=(s.dim, s.dim)) @ v
         assert np.allclose(np.bincount(s.rows, data * v[s.cols], minlength=s.dim), dense, atol=1e-12)
         assert np.allclose(sparse, dense, atol=1e-12)
+
+
+class TestDirectDenseSolve:
+    """The direct LAPACK solve gives scipy's checked result bit for bit, from a diagonal summed as the loop summed it."""
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("j,jz", [(1.0, -0.5), (-0.7, 2.0), (5.8e-6, -2.3e-6), (1e-300, 2e-300)])
+    def test_equals_eigh(self, j, jz, boundary):
+        solved = 0
+        for n in range(2, 13):
+            spec = ChainSpec(n, j, jz, 0.0, boundary)
+            for k in range(1, n):
+                s = chain_module._sector_structure(n, k, boundary)
+                if s.dim > chain_module.DENSE_SECTOR_CUTOFF:
+                    continue
+                data = chain_module._sector_data(spec, s)
+                energies, vecs = chain_module._dense_lowest_pair(s, data)
+                ref_energies, ref_vecs = scipy.linalg.eigh(chain_module._dense(s, data), subset_by_index=[0, 1])
+                assert np.array_equal(energies, ref_energies) and np.array_equal(vecs, ref_vecs)
+                solved += 1
+        assert solved == 57
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_diagonal_equals_the_bond_by_bond_loop(self, boundary):
+        for n in range(2, MAX_SITES + 1):
+            for k in range(n + 1):
+                s = chain_module._sector_structure(n, k, boundary)
+                for jz in (0.0, -0.0, 5e-324, -5e-324, 1.0 / 3.0, -0.7, -3.3e306):
+                    spec = ChainSpec(n, 1.0, jz, 0.0, boundary)
+                    # Bit for bit, the sign of zero included.
+                    assert chain_module._sector_data(spec, s).tobytes() == bond_by_bond_sector_data(spec, s).tobytes()
+
+    def test_non_finite_matrix_never_reaches_lapack(self):
+        spec = ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.0)
+        object.__setattr__(spec, "jz", math.nan)  # past ChainSpec's own check
+        with pytest.raises(SectorConvergenceError, match="matrix norm nan"):
+            chain_module._solve_sector(spec, 3, "dense")
+
+    def test_lapack_failure_is_lin_alg_error(self, monkeypatch, capsys):
+        dsyevr = scipy.linalg.lapack.dsyevr
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", lambda *a, **kw: (*dsyevr(*a, **kw)[:-1], 2))
+        with pytest.raises(np.linalg.LinAlgError, match=r"sector \(info=2\)"):
+            ground_state(ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.0), method="dense")
+        # A numeric failure on the command line, not a usage error.
+        assert main(["chain-ed", "--n", "4", "--x", "6", "--omega", "1e-4"]) == 1
+        assert "dsyevr failed" in capsys.readouterr().err
 
 
 class TestSectorStructure:
@@ -380,16 +445,17 @@ class TestGroundState:
         ],
     )
     def test_unconverged_eigenpair_is_rejected(self, monkeypatch, solver, method, spec, error):
-        module = {"eigsh": scipy.sparse.linalg, "eigh": scipy.linalg}[solver]
-        exact = getattr(module, solver)
+        # The dense path calls LAPACK's dsyevr, the routine eigh runs, directly.
+        module, name = {"eigsh": (scipy.sparse.linalg, "eigsh"), "eigh": (scipy.linalg.lapack, "dsyevr")}[solver]
+        exact = getattr(module, name)
 
         def perturbed(*args, **kwargs):
-            energies, vecs = exact(*args, **kwargs)
+            energies, vecs, *rest = exact(*args, **kwargs)
             vecs = vecs.copy()
             vecs[0] += error
-            return energies, vecs
+            return energies, vecs, *rest
 
-        monkeypatch.setattr(module, solver, perturbed)
+        monkeypatch.setattr(module, name, perturbed)
         with pytest.raises(SectorConvergenceError, match=rf"n={spec.n} chain: eigen-residual"):
             ground_state(spec, method=method)
 
@@ -488,6 +554,20 @@ class TestSectorPruning:
         if n < 4:
             assert np.all(spectra.split == spectra.floor)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=4, max_value=12),
+        boundary=st.sampled_from(["open", "periodic"]),
+        j=COUPLINGS,
+        jz=COUPLINGS,
+    )
+    def test_mirrored_halves_equal_every_half_sector_solved(self, n, boundary, j, jz):
+        # The field-free halves are spin-flip symmetric: a mirrored minimum is the
+        # partner's solve, which agrees with a direct solve to rounding.
+        spectra = chain_module._SectorSpectra(ChainSpec(n=n, j=j, jz=jz, gamma=0.0, boundary=boundary), "dense")
+        rounding = 1e-14 * max(1.0, abs(spectra.floor), abs(spectra.ceil))
+        assert np.abs(spectra.split - all_sector_half_chain_bound(spectra.spec)).max() <= rounding
+
     def test_molecular_scan_solves_two_sectors_per_x(self, monkeypatch):
         solve = chain_module._solve_sector
         calls = []
@@ -529,7 +609,8 @@ class TestSectorPruning:
         calls = self._counted_solves(monkeypatch)
         phase_diagram([x], [10.0], n=12)
         assert [k for n, k in calls if n == 12] == sectors
-        assert sorted(k for n, k in calls if n == 6) == list(range(7))
+        # Half sectors 4 to 6 mirror 2 to 0.
+        assert sorted(k for n, k in calls if n == 6) == [0, 1, 2, 3]
         assert {n for n, _ in calls} == {12, 6}
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 12.0])
@@ -547,17 +628,17 @@ class TestSectorPruning:
     def test_molecular_onset_solves_three_sectors(self, monkeypatch, x):
         # The Weyl cap alone admits sectors 12 down to 7; the half-chain
         # bound rules out 9 to 7, which include the two Lanczos sectors.
-        # Its two 6-site halves are one chain, solved once.
+        # Its two 6-site halves are one chain, solved once per spin-flip pair of sectors.
         calls = self._onset_calls(monkeypatch, x, 12)
         assert [k for n, k in calls if n == 12] == [12, 11, 10]
-        assert sorted(k for n, k in calls if n == 6) == list(range(7))
+        assert sorted(k for n, k in calls if n == 6) == [0, 1, 2, 3]
         assert {n for n, _ in calls} == {12, 6}
 
     @pytest.mark.parametrize("x", [7.5, 10.5])
     def test_odd_onset_solves_each_half_once(self, monkeypatch, x):
         calls = self._onset_calls(monkeypatch, x, 13)
-        assert sorted(k for n, k in calls if n == 6) == list(range(7))
-        assert sorted(k for n, k in calls if n == 7) == list(range(8))
+        assert sorted(k for n, k in calls if n == 6) == [0, 1, 2, 3]
+        assert sorted(k for n, k in calls if n == 7) == [0, 1, 2, 3]
         assert {n for n, _ in calls} == {13, 7, 6}
 
 
