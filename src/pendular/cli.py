@@ -146,6 +146,8 @@ def cmd_moments(args) -> tuple[Table, dict | None]:
 def _resolve_point(args):
     """(x, omega, units-metadata) from either reduced or laboratory flags."""
     if args.molecule is not None:
+        if args.x is not None or args.omega is not None:
+            raise ValueError("--molecule derives x and omega; give it without --x and --omega")
         if args.epsilon is None or args.r is None:
             raise ValueError("--molecule requires --epsilon and --r")
         preset = _preset(args)
@@ -159,7 +161,7 @@ def _resolve_point(args):
             "r_nm": args.r,
         }
         return x, omega, units
-    if args.x is None or args.omega is None:
+    if args.x is None or args.omega is None or args.epsilon is not None or args.r is not None:
         raise ValueError("give either --x and --omega, or --molecule with --epsilon and --r")
     return args.x, args.omega, None
 

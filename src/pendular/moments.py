@@ -23,9 +23,9 @@ the whole accepted domain, cx(x) is positive for x > 0, and c0, c1 and the
 energies do not depend on the choice.
 
 All of this runs through one private kernel, :func:`_pseudo_spin`: two
-tridiagonal solves through the same LAPACK call as
-:func:`pendular.rotor.solve_pendular`, and contractions with cached,
-read-only operator matrices.  It rejects a non-finite or negative x, and a
+block solves through the same solver as :func:`pendular.rotor.solve_pendular`,
+and contractions with the operator matrices that :mod:`pendular.rotor`
+caches read-only.  It rejects a non-finite or negative x, and a
 basis too small for x (:class:`TruncationError`).
 """
 
@@ -41,8 +41,8 @@ from numpy.typing import NDArray
 from .rotor import (
     DEFAULT_J_MAX,
     BasisSpec,
+    _operator,
     _stark_eigh,
-    operator_matrix,
     solve_pendular,
 )
 from .tables import Table
@@ -91,14 +91,6 @@ class _PseudoSpin(NamedTuple):
     cx: np.float64
 
 
-@lru_cache(maxsize=None)
-def _operator(kind: str, m_bra: int, m_ket: int, j_max: int) -> NDArray[np.float64]:
-    """Read-only :func:`~pendular.rotor.operator_matrix`, built once per key."""
-    out = operator_matrix(kind, BasisSpec(m=m_bra, j_max=j_max), BasisSpec(m=m_ket, j_max=j_max))
-    out.setflags(write=False)
-    return out
-
-
 def _contract(kind: str, bra, m_bra: int, ket, m_ket: int, j_max: int) -> np.float64:
     """<bra|op|ket>, evaluated as bra @ M @ ket.
 
@@ -111,7 +103,7 @@ def _contract(kind: str, bra, m_bra: int, ket, m_ket: int, j_max: int) -> np.flo
 def _block_state(x: float, m: int, level: int, j_max: int) -> tuple[float, NDArray[np.float64]]:
     """Energy and J = 1-positive vector of one level of the m block.
 
-    Same full-spectrum tridiagonal solve as :func:`~pendular.rotor.solve_pendular`,
+    Same full-spectrum block solve as :func:`~pendular.rotor.solve_pendular`,
     so energies and vectors are bit-identical to it.
     """
     energies, vecs = _stark_eigh(x, m, j_max)

@@ -43,6 +43,12 @@ _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _ID = np.eye(2)
+#: Two-qubit terms of :func:`xyz_matrix`: sx sx, Re(sy sy), sz sz, the field sum and 1.
+_XX = np.kron(_SX, _SX)
+_YY = np.kron(_SY, _SY).real
+_ZZ = np.kron(_SZ, _SZ)
+_Z_SUM = np.kron(_SZ, _ID) + np.kron(_ID, _SZ)
+_ID4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -167,14 +173,13 @@ def heisenberg_constants(mset: MomentSet, geom: CouplingGeometry) -> HeisenbergC
 
 def xyz_matrix(constants: HeisenbergConstants) -> NDArray[np.float64]:
     """4x4 matrix of the two-qubit model in the product (down, up) basis."""
-    h = (
-        constants.jx * np.kron(_SX, _SX)
-        + constants.jy * np.kron(_SY, _SY).real
-        + constants.jz * np.kron(_SZ, _SZ)
-        - constants.gamma * (np.kron(_SZ, _ID) + np.kron(_ID, _SZ))
-        + constants.shift * np.eye(4)
+    return (
+        constants.jx * _XX
+        + constants.jy * _YY
+        + constants.jz * _ZZ
+        - constants.gamma * _Z_SUM
+        + constants.shift * _ID4
     )
-    return h
 
 
 def coupling_surface(x_grid, alpha_grid, j_max: int = DEFAULT_J_MAX) -> Table:

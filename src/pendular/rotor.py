@@ -18,6 +18,10 @@ The required recursions are
 
 Every coefficient above is cross-checked against direct spherical quadrature
 in the test suite before anything downstream relies on it.
+
+Each block is built as H(x) = J**2 - x*cos(theta) from two cached,
+read-only matrices per (m, j_max): the field-free diagonal and the same
+cos(theta) matrix that :mod:`pendular.moments` contracts with.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ OPERATOR_KINDS = ("cos_theta", "sin_theta_cos_phi", "sin_theta_sin_phi")
 
 
 class EigensolverError(RuntimeError):
-    """Tridiagonal eigensolver failed; carries the offending (x, m, j_max)."""
+    """Stark-block eigensolver failed; carries the offending (x, m, j_max)."""
 
 
 @dataclass(frozen=True)
@@ -98,48 +102,38 @@ def _raise_to_lower(j: int, m: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def stark_constants(m: int, j_max: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Field-free diagonal J(J+1) and unit cos couplings of one m block.
+def _operator(kind: str, m_bra: int, m_ket: int, j_max: int) -> NDArray[np.float64]:
+    """Read-only :func:`operator_matrix` between two j_max bases, built once per key."""
+    out = operator_matrix(kind, BasisSpec(m=m_bra, j_max=j_max), BasisSpec(m=m_ket, j_max=j_max))
+    out.setflags(write=False)
+    return out
 
-    The Stark tridiagonal at field x is (diag, -x * couplings).  Both arrays
-    are cached per (m, j_max) and read-only.
-    """
+
+@lru_cache(maxsize=None)
+def _j_squared(m: int, j_max: int) -> NDArray[np.float64]:
+    """Read-only field-free J**2 = diag(J(J+1)) of one m block."""
     js = BasisSpec(m=m, j_max=j_max).j_values
-    diag = (js * (js + 1)).astype(np.float64)
-    couplings = np.array([_cos_coupling(int(j), m) for j in js[:-1]])
-    diag.setflags(write=False)
-    couplings.setflags(write=False)
-    return diag, couplings
-
-
-def _tridiagonal_elements(
-    x: float, m: int, j_max: int
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    if not math.isfinite(x) or x < 0:
-        raise ValueError(f"reduced field must be finite and non-negative, got {x}")
-    diag, couplings = stark_constants(m, j_max)
-    return diag, -x * couplings
+    out = np.diag((js * (js + 1)).astype(np.float64))
+    out.setflags(write=False)
+    return out
 
 
 def _stark_eigh(x: float, m: int, j_max: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Ascending energies and eigenvector columns of the m block at field x.
 
-    Calls LAPACK ``dstevd`` directly.  It is the routine ``eigh_tridiagonal``
-    runs for a full solve, so results are bit-identical, but that wrapper's
-    argument checks add about half the solve's own time.
+    Solves H = J**2 - x*cos(theta) with ``numpy.linalg.eigh``, which gives
+    ``scipy.linalg.eigh_tridiagonal``'s result bit for bit on these blocks.
+    The vectors are returned in Fortran order, as LAPACK writes them, so that
+    a column is contiguous and its contractions sum in a fixed order.
     """
-    # Imported here so that importing the package does not load scipy.linalg.
-    from scipy.linalg.lapack import dstevd
-
-    diag, off = _tridiagonal_elements(x, m, j_max)
-    if diag.size == 1:  # dstevd rejects an empty off-diagonal
-        return diag.copy(), np.ones((1, 1))
-    energies, vecs, info = dstevd(diag, off)
-    if info != 0:
-        raise EigensolverError(
-            f"pendular eigensolve failed at x={x}, m={m}, j_max={j_max} (dstevd info={info})"
-        )
-    return energies, vecs
+    if not math.isfinite(x) or x < 0:
+        raise ValueError(f"reduced field must be finite and non-negative, got {x}")
+    h = _j_squared(m, j_max) - x * _operator("cos_theta", m, m, j_max)
+    try:
+        energies, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"pendular eigensolve failed at x={x}, m={m}, j_max={j_max} ({exc})") from exc
+    return energies, np.asfortranarray(vecs)
 
 
 def solve_pendular(x: float, spec: BasisSpec) -> PendularSolution:

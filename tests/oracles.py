@@ -8,15 +8,16 @@ states from every magnetization sector, with no pruning, the half-chain
 bound from every half sector, the sector diagonal from a loop over the
 bonds, the full chain
 Hamiltonian from Kronecker products of Pauli matrices, and CSV text from
-``csv.writer`` one formatted cell at a time.  The dense Stark
-matrix is the library's own tridiagonal written out in full, so that scipy's
-checked solver and the element tests can read it.
+``csv.writer`` one formatted cell at a time.  The Stark tridiagonal comes
+from the closed-form cos(theta) recursion coefficient, computed here
+element-wise, and is solved by scipy's checked tridiagonal solver.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import replace
 from enum import Enum
 from functools import cache
@@ -26,16 +27,29 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import sph_harm_y
 
-from pendular.rotor import BasisSpec, _tridiagonal_elements, operator_matrix, solve_pendular
+from pendular.rotor import BasisSpec, operator_matrix, solve_pendular
+
+
+def stark_tridiagonal(x: float, m: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal J(J+1) and off-diagonal -x*<J+1,m|cos(theta)|J,m> of one m block, units of B.
+
+    The coupling is the closed form sqrt(((J+1)^2 - m^2) / ((2J+1)(2J+3))).
+    """
+    if not math.isfinite(x) or x < 0:
+        raise ValueError(f"reduced field must be finite and non-negative, got {x}")
+    js = np.arange(abs(m), j_max + 1)
+    diag = (js * (js + 1)).astype(np.float64)
+    lower = js[:-1]
+    off = -x * np.sqrt(((lower + 1) ** 2 - m * m) / ((2 * lower + 1) * (2 * lower + 3)))
+    return diag, off
 
 
 def build_stark_hamiltonian(x: float, spec: BasisSpec) -> np.ndarray:
     """Stark Hamiltonian J(J+1) - x*cos(theta) in one m block, units of B.
 
-    Returns the full symmetric tridiagonal matrix; diagonal J(J+1),
-    first off-diagonals -x*<J+1,m|cos(theta)|J,m>.
+    Returns the full symmetric tridiagonal matrix of :func:`stark_tridiagonal`.
     """
-    diag, off = _tridiagonal_elements(x, spec.m, spec.j_max)
+    diag, off = stark_tridiagonal(x, spec.m, spec.j_max)
     h = np.diag(diag)
     if off.size:
         idx = np.arange(off.size)
@@ -72,11 +86,10 @@ def quad_operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) ->
 def checked_tridiagonal_solve(x: float, m: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Energies and eigenvectors of one m block through scipy's ``eigh_tridiagonal``.
 
-    The diagonal and off-diagonal are read off the public dense Hamiltonian,
-    and scipy's wrapper validates them before it calls LAPACK.
+    The diagonal and off-diagonal come from :func:`stark_tridiagonal`, and
+    scipy's wrapper validates them before it calls LAPACK.
     """
-    h = build_stark_hamiltonian(x, BasisSpec(m=m, j_max=j_max))
-    return eigh_tridiagonal(np.diag(h), np.diag(h, 1))
+    return eigh_tridiagonal(*stark_tridiagonal(x, m, j_max))
 
 
 def _j1_positive_state(x: float, m: int, j_tilde: int, j_max: int) -> np.ndarray:

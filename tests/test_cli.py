@@ -266,6 +266,7 @@ class TestRejectedChainInputs:
             ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "0"],
             ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "inf"],
             ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "1e-110"],
+            ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500", "--omega", "1"],
             ["phase-diagram", "--fm-threshold", "nan"],
             ["phase-diagram", "--workers", "0"],
             ["phase-diagram", "--workers=-2"],
@@ -286,6 +287,7 @@ class TestRejectedChainInputs:
             "chain-ed-r-zero",
             "chain-ed-r-inf",
             "chain-ed-r-cube-underflow",
+            "chain-ed-molecule-with-omega",
             "phase-diagram-fm-threshold-nan",
             "phase-diagram-workers-zero",
             "phase-diagram-workers-negative",
@@ -338,6 +340,8 @@ class TestRejectedMomentInputs:
             ["convert", "--molecule", "SrO", "--r", "1e-110"],
             ["convert", "--molecule", "SrO", "--r", "1e200"],
             ["couplings", "--molecule", "SrO", "--epsilon", "13.5"],
+            ["couplings", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500", "--x", "6"],
+            ["couplings", "--x", "6", "--omega", "1e-4", "--r", "500"],
             ["stark-map", "--x-max", "-1"],
             ["fit", "--quantity", "gap", "--x-step", "0"],
             ["coupling-grid", "--alpha-grid", ","],
@@ -374,6 +378,8 @@ class TestRejectedMomentInputs:
             "convert-r-cube-underflow",
             "convert-r-cube-overflow",
             "couplings-molecule-without-r",
+            "couplings-molecule-with-x",
+            "couplings-r-without-molecule",
             "stark-map-x-max-negative",
             "fit-x-step-zero",
             "coupling-grid-alpha-empty",
@@ -503,7 +509,7 @@ def test_import_skips_fit_and_root_finding_modules():
 
 SOLVER_IMPORT_PROBE = """
 import contextlib, io, json, sys
-SOLVER_MODULES = ("scipy.linalg", "scipy.sparse", "scipy.constants", "concurrent.futures.process")
+SOLVER_MODULES = ("scipy", "scipy.linalg", "scipy.sparse", "scipy.constants", "concurrent.futures.process")
 
 def loaded():
     return [m for m in SOLVER_MODULES if m in sys.modules]
@@ -521,6 +527,9 @@ for name, argv in [
     ("version", ["--version"]),
     ("convert", ["convert", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500"]),
     ("usage", ["convert", "--molecule", "SrO", "--bogus"]),
+    ("couplings", ["couplings", "--x", "6", "--omega", "1e-5"]),
+    ("coupling-grid", ["coupling-grid", "--x-grid", "0:2:0.5", "--alpha-grid", "0,90"]),
+    ("stark-map", ["stark-map", "--x-max", "2", "--m", "0,1,2"]),
 ]:
     codes[name] = run(argv)
     loads[name] = loaded()
@@ -534,17 +543,20 @@ print(json.dumps([codes, loads]))
 
 
 def test_only_solving_commands_load_scipy():
-    # A command that never solves loads neither scipy nor a process pool; a solve loads
-    # scipy.linalg, and a dense chain solve still leaves scipy.sparse to Lanczos.
+    # Commands that only solve Stark blocks (numpy's eigh) load neither scipy nor a process
+    # pool; a dense chain solve loads scipy.linalg and still leaves scipy.sparse to Lanczos.
     proc = subprocess.run([sys.executable, "-c", SOLVER_IMPORT_PROBE], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     codes, loads = json.loads(proc.stdout)
-    assert codes == {"version": 0, "convert": 0, "usage": 2}
+    assert codes == {"version": 0, "convert": 0, "usage": 2, "couplings": 0, "coupling-grid": 0, "stark-map": 0}
     assert loads == {
         "import": [],
         "version": [],
         "convert": [],
         "usage": [],
-        "moments": ["scipy.linalg"],
-        "dense": ["scipy.linalg"],
+        "couplings": [],
+        "coupling-grid": [],
+        "stark-map": [],
+        "moments": [],
+        "dense": ["scipy", "scipy.linalg"],
     }

@@ -10,7 +10,6 @@ from oracles import public_route_elements, quad_operator_matrix, up_leading_swap
 from pendular.moments import (
     MomentSet,
     TruncationError,
-    _operator,
     _pseudo_spin,
     c1_zero_crossing,
     interpolated_root,
@@ -20,7 +19,7 @@ from pendular.moments import (
     uniform_grid,
 )
 from pendular.pair import pseudo_spin_operators
-from pendular.rotor import stark_constants
+from pendular.rotor import _j_squared, _operator
 
 #: Every 7th point of the standard 0:12:0.01 grid, both ends included.
 STRIDED_GRID = [*np.round(np.arange(0.0, 12.0, 0.07), 12), 12.0]
@@ -270,9 +269,10 @@ class TestKernelMatchesPublicRoute:
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_cached_tridiagonal_constants_are_read_only(self, m):
-        for arr in stark_constants(m, 30):
+        # The Stark block J**2 - x*cos(theta) is built from these two cached matrices.
+        for arr in (_j_squared(m, 30), _operator("cos_theta", m, m, 30)):
             with pytest.raises(ValueError):
-                arr[0] = 1.0
+                arr[0, 0] = 1.0
 
 
 class TestOrientationBeyondTwelve:

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 
+from pendular.cli import main
 from pendular.moments import moments
 from pendular.rotor import (
     BasisSpec,
@@ -126,16 +126,27 @@ class TestSolvePendular:
         assert np.abs(small - large).max() <= 1e-10
 
 
-class TestDirectTridiagonalSolve:
-    """The direct LAPACK solve gives scipy's checked result bit for bit."""
+#: The validated 0:12:0.01 field grid plus the subnormal, tiny and far-out fields.
+EIGH_FIELDS = [*np.round(np.arange(0.0, 12.0 + 0.005, 0.01), 12), 5e-324, 1e-300, 30.0, 100.0, 1000.0]
 
-    @pytest.mark.parametrize("m", [0, 1])
+
+class TestDirectTridiagonalSolve:
+    """The dense eigh solve of each block gives scipy's checked tridiagonal result bit for bit."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_equals_eigh_tridiagonal(self, m):
-        for x in np.round(np.arange(0.0, 12.0 + 0.005, 0.01), 12):
-            energies, vecs = _stark_eigh(float(x), m, 30)
-            ref_energies, ref_vecs = checked_tridiagonal_solve(float(x), m, 30)
-            assert np.array_equal(energies, ref_energies)
-            assert np.array_equal(vecs, ref_vecs)
+        mismatches = []
+        for j_max in (20, 30, 40):
+            for x in EIGH_FIELDS:
+                energies, vecs = _stark_eigh(float(x), m, j_max)
+                ref_energies, ref_vecs = checked_tridiagonal_solve(float(x), m, j_max)
+                if not (np.array_equal(energies, ref_energies) and np.array_equal(vecs, ref_vecs)):
+                    mismatches.append((j_max, x))
+        assert mismatches == []
+
+    def test_vectors_are_fortran_ordered(self):
+        # Contractions must read each column contiguously: C-ordered vectors move c1 in its last bits.
+        assert _stark_eigh(5.0, 0, 30)[1].flags.f_contiguous
 
     def test_single_level_block(self):
         energies, vecs = _stark_eigh(1.0, 1, 1)
@@ -144,12 +155,17 @@ class TestDirectTridiagonalSolve:
         energies[0] = -1.0  # the caller owns the result, not the cached diagonal
         assert _stark_eigh(1.0, 1, 1)[0][0] == 2.0
 
-    def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
-        with pytest.raises(EigensolverError, match=r"x=2\.0, m=0, j_max=5 \(dstevd info=3\)"):
+    def test_lapack_failure_is_eigensolver_error(self, monkeypatch, capsys):
+        def fail(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError, match=r"x=2\.0, m=0, j_max=5 \(Eigenvalues did not converge\)"):
             solve_pendular(2.0, BasisSpec(m=0, j_max=5))
         with pytest.raises(EigensolverError):
             moments(2.0)
+        assert main(["couplings", "--x", "2", "--omega", "1e-5"]) == 1
+        assert capsys.readouterr().err.startswith("pendular: error: pendular eigensolve failed at x=2.0")
 
 
 class TestOperatorMatrix:
