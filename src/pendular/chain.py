@@ -16,7 +16,8 @@ result: Weyl's bound (the bond count times the lowest two-site level, the
 same for every sector), then the sector's half-chain bound (the lowest level
 of two open half-chains at that magnetization, plus Weyl's bound on the cut
 bonds; the field-free halves commute with the global spin flip, so each
-pair of half sectors k and size - k is solved once).  Small sectors go
+pair of half sectors k and size - k is solved once).  Sectors of at most 16
+states go to numpy's eigh, which loads no scipy; other small sectors go
 straight to LAPACK's dsyevr, larger ones to Lanczos, and every solved
 eigenpair is checked by its residual against the sector matrix's norm.  The
 xy part acts as a flip-flop of amplitude 2 j on anti-aligned neighbor pairs.
@@ -57,6 +58,13 @@ DENSE_FALLBACK_CUTOFF = 4000
 #: Largest accepted eigen-residual ||Hv - lambda v||, relative to the sector
 #: matrix's largest absolute row sum (which bounds every |level|).
 RESIDUAL_TOL = 1e-8
+#: Largest sector dimension solved by ``numpy.linalg.eigh``; larger dense
+#: sectors call LAPACK's dsyevr through scipy.  Sector n - 1 of any accepted
+#: chain has at most this many states, and in the molecular regime it is the
+#: only sector solved besides the one-state sector n.  numpy's full solve costs
+#: at most about 15 us more per sector of this size (one BLAS thread), where
+#: the first dsyevr call costs the 0.2 s import of scipy.linalg.
+NUMPY_EIGH_CUTOFF = MAX_SITES
 
 
 class Phase(str, Enum):
@@ -216,9 +224,15 @@ def _dsyevr_workspace(dim: int) -> tuple[int, int]:
 def _dense_lowest_pair(s: _SectorStructure, data: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
     """The two lowest eigenpairs of a sector matrix, ascending.
 
-    Calls LAPACK ``dsyevr`` as ``scipy.linalg.eigh(h, subset_by_index=[0, 1])``
-    does, so results are bit-identical, but without that wrapper's checks.
+    A sector of at most :data:`NUMPY_EIGH_CUTOFF` states goes to
+    ``numpy.linalg.eigh``.  A larger one calls LAPACK ``dsyevr`` as
+    ``scipy.linalg.eigh(h, subset_by_index=[0, 1])`` does, so results are
+    bit-identical, but without that wrapper's checks.  Either raises numpy's
+    ``LinAlgError`` when LAPACK fails.
     """
+    if s.dim <= NUMPY_EIGH_CUTOFF:
+        energies, vecs = np.linalg.eigh(_dense(s, data))
+        return energies[:2], vecs[:, :2]
     # Imported here so that importing the package does not load scipy.linalg.
     from scipy.linalg.lapack import dsyevr
 

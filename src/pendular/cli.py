@@ -163,6 +163,8 @@ def _resolve_point(args):
         return x, omega, units
     if args.x is None or args.omega is None or args.epsilon is not None or args.r is not None:
         raise ValueError("give either --x and --omega, or --molecule with --epsilon and --r")
+    if args.presets is not None:
+        raise ValueError("--presets applies only with --molecule")
     return args.x, args.omega, None
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -156,12 +157,13 @@ class TestHamiltonian:
 
 
 class TestDirectDenseSolve:
-    """The direct LAPACK solve gives scipy's checked result bit for bit, from a diagonal summed as the loop summed it."""
+    """Sectors of at most 16 states give numpy's eigh bit for bit, larger ones scipy's checked dsyevr result,
+    from a diagonal summed as the loop summed it."""
 
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     @pytest.mark.parametrize("j,jz", [(1.0, -0.5), (-0.7, 2.0), (5.8e-6, -2.3e-6), (1e-300, 2e-300)])
     def test_equals_eigh(self, j, jz, boundary):
-        solved = 0
+        solved = {"numpy": 0, "dsyevr": 0}
         for n in range(2, 13):
             spec = ChainSpec(n, j, jz, 0.0, boundary)
             for k in range(1, n):
@@ -170,10 +172,16 @@ class TestDirectDenseSolve:
                     continue
                 data = chain_module._sector_data(spec, s)
                 energies, vecs = chain_module._dense_lowest_pair(s, data)
-                ref_energies, ref_vecs = scipy.linalg.eigh(chain_module._dense(s, data), subset_by_index=[0, 1])
+                h = chain_module._dense(s, data)
+                if s.dim <= MAX_SITES:
+                    ref_energies, ref_vecs = np.linalg.eigh(h)
+                    ref_energies, ref_vecs = ref_energies[:2], ref_vecs[:, :2]
+                    solved["numpy"] += 1
+                else:
+                    ref_energies, ref_vecs = scipy.linalg.eigh(h, subset_by_index=[0, 1])
+                    solved["dsyevr"] += 1
                 assert np.array_equal(energies, ref_energies) and np.array_equal(vecs, ref_vecs)
-                solved += 1
-        assert solved == 57
+        assert solved == {"numpy": 26, "dsyevr": 31}
 
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     def test_diagonal_equals_the_bond_by_bond_loop(self, boundary):
@@ -192,13 +200,29 @@ class TestDirectDenseSolve:
             chain_module._solve_sector(spec, 3, "dense")
 
     def test_lapack_failure_is_lin_alg_error(self, monkeypatch, capsys):
+        # Up to 16 states numpy's eigh raises it; Stark blocks have more rows than that.
+        eigh = np.linalg.eigh
+
+        def failing(a, *args, **kwargs):
+            if len(a) <= MAX_SITES:
+                raise np.linalg.LinAlgError("injected eigh failure")
+            return eigh(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", failing)
+            with pytest.raises(np.linalg.LinAlgError, match="injected eigh failure"):
+                ground_state(ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.0), method="dense")
+            # A numeric failure on the command line, not a usage error.
+            assert main(["chain-ed", "--n", "4", "--x", "6", "--omega", "1e-4"]) == 1
+            assert capsys.readouterr().err == "pendular: error: injected eigh failure\n"
+        # Above 16 states the direct dsyevr call reports LAPACK's info.
         dsyevr = scipy.linalg.lapack.dsyevr
         monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", lambda *a, **kw: (*dsyevr(*a, **kw)[:-1], 2))
-        with pytest.raises(np.linalg.LinAlgError, match=r"sector \(info=2\)"):
+        with pytest.raises(np.linalg.LinAlgError, match=r"20-state sector \(info=2\)"):
             ground_state(ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.0), method="dense")
-        # A numeric failure on the command line, not a usage error.
-        assert main(["chain-ed", "--n", "4", "--x", "6", "--omega", "1e-4"]) == 1
-        assert "dsyevr failed" in capsys.readouterr().err
+        # At Omega/B = 10 and x = 0.5 the search reaches the 20-state half-filled sector of n = 6.
+        assert main(["chain-ed", "--n", "6", "--x", "0.5", "--omega", "10"]) == 1
+        assert "dsyevr failed on a 20-state sector" in capsys.readouterr().err
 
 
 class TestSectorStructure:
@@ -408,6 +432,19 @@ class TestGroundState:
         assert iterative.ground_energy == pytest.approx(dense.ground_energy, abs=1e-10)
         assert iterative.gap == pytest.approx(dense.gap, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_odd_ring_methods_agree_on_the_level(self, n):
+        # The winning sector's lowest level is a +-q momentum doublet.  Its energy, the gap, the sector
+        # and nn_zz are the same for every vector of the level; the staggered correlation is not
+        # translation-invariant on an odd ring and depends on the vector a solver returns.
+        spec = ChainSpec(n=n, j=1.0, jz=1.5, gamma=0.3, boundary="periodic")
+        auto, dense, iterative = (ground_state(spec, method=m) for m in ("auto", "dense", "iterative"))
+        for other in (dense, iterative):
+            assert other.ground_sector == auto.ground_sector == (n + 1) // 2
+            assert other.ground_energy == pytest.approx(auto.ground_energy, rel=0, abs=1e-12)
+            assert other.gap == pytest.approx(auto.gap, rel=0, abs=1e-12)
+            assert other.nn_zz_correlation == pytest.approx(auto.nn_zz_correlation, rel=0, abs=1e-12)
+
     @pytest.mark.parametrize("method", ["auto", "dense", "iterative"])
     def test_zero_couplings_every_method(self, method):
         res = ground_state(ChainSpec(n=12, j=0.0, jz=0.0, gamma=0.3), method=method)
@@ -432,7 +469,9 @@ class TestGroundState:
                 (ChainSpec(n=8, j=1e-300, jz=2e-300, gamma=0.0), 1e-3),
             ]
             for solver, method in [("eigsh", "iterative"), ("eigh", "dense")]
-        ],
+        ]
+        # Only the 20-state sector of n = 6 is perturbed, on the direct dsyevr path.
+        + [("dsyevr", "dense", ChainSpec(n=6, j=1.0, jz=0.5, gamma=0.0), 1e-4)],
         ids=[
             "eigsh-iterative",
             "eigh-dense",
@@ -442,20 +481,25 @@ class TestGroundState:
             "eigh-dense-1e-170",
             "eigsh-iterative-1e-300",
             "eigh-dense-1e-300",
+            "dsyevr-dense",
         ],
     )
     def test_unconverged_eigenpair_is_rejected(self, monkeypatch, solver, method, spec, error):
-        # The dense path calls LAPACK's dsyevr, the routine eigh runs, directly.
-        module, name = {"eigsh": (scipy.sparse.linalg, "eigsh"), "eigh": (scipy.linalg.lapack, "dsyevr")}[solver]
-        exact = getattr(module, name)
+        # The dense path is numpy's eigh up to 16 states and LAPACK's dsyevr, called directly, above.
+        targets = {
+            "eigsh": [(scipy.sparse.linalg, "eigsh")],
+            "eigh": [(np.linalg, "eigh"), (scipy.linalg.lapack, "dsyevr")],
+            "dsyevr": [(scipy.linalg.lapack, "dsyevr")],
+        }[solver]
 
-        def perturbed(*args, **kwargs):
+        def perturbed(exact, *args, **kwargs):
             energies, vecs, *rest = exact(*args, **kwargs)
             vecs = vecs.copy()
             vecs[0] += error
             return energies, vecs, *rest
 
-        monkeypatch.setattr(module, name, perturbed)
+        for module, name in targets:
+            monkeypatch.setattr(module, name, partial(perturbed, getattr(module, name)))
         with pytest.raises(SectorConvergenceError, match=rf"n={spec.n} chain: eigen-residual"):
             ground_state(spec, method=method)
 

@@ -270,6 +270,7 @@ class TestRejectedChainInputs:
             ["phase-diagram", "--fm-threshold", "nan"],
             ["phase-diagram", "--workers", "0"],
             ["phase-diagram", "--workers=-2"],
+            ["chain-ed", "--x", "6", "--omega", "1e-4", "--presets", "/nonexistent/presets.ini"],
         ],
         ids=[
             "phase-diagram-x-nan",
@@ -291,6 +292,7 @@ class TestRejectedChainInputs:
             "phase-diagram-fm-threshold-nan",
             "phase-diagram-workers-zero",
             "phase-diagram-workers-negative",
+            "chain-ed-presets-without-molecule",
         ],
     )
     def test_usage_error(self, argv, capsys):
@@ -342,6 +344,7 @@ class TestRejectedMomentInputs:
             ["couplings", "--molecule", "SrO", "--epsilon", "13.5"],
             ["couplings", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500", "--x", "6"],
             ["couplings", "--x", "6", "--omega", "1e-4", "--r", "500"],
+            ["couplings", "--x", "6", "--omega", "1e-4", "--presets", "/nonexistent/presets.ini"],
             ["stark-map", "--x-max", "-1"],
             ["fit", "--quantity", "gap", "--x-step", "0"],
             ["coupling-grid", "--alpha-grid", ","],
@@ -380,6 +383,7 @@ class TestRejectedMomentInputs:
             "couplings-molecule-without-r",
             "couplings-molecule-with-x",
             "couplings-r-without-molecule",
+            "couplings-presets-without-molecule",
             "stark-map-x-max-negative",
             "fit-x-step-zero",
             "coupling-grid-alpha-empty",
@@ -530,12 +534,15 @@ for name, argv in [
     ("couplings", ["couplings", "--x", "6", "--omega", "1e-5"]),
     ("coupling-grid", ["coupling-grid", "--x-grid", "0:2:0.5", "--alpha-grid", "0,90"]),
     ("stark-map", ["stark-map", "--x-max", "2", "--m", "0,1,2"]),
+    ("chain-ed", ["chain-ed", "--n", "12", "--x", "6", "--omega", "1e-4"]),
+    ("phase-diagram", ["phase-diagram", "--n", "10"]),
 ]:
     codes[name] = run(argv)
     loads[name] = loaded()
 from pendular import ChainSpec, ground_state, moments
 moments(1.0)
 loads["moments"] = loaded()
+# Its ground sector, k = 4, has 70 states.
 ground_state(ChainSpec(n=8, j=1.0, jz=0.5, gamma=0.0), method="dense")
 loads["dense"] = loaded()
 print(json.dumps([codes, loads]))
@@ -543,12 +550,23 @@ print(json.dumps([codes, loads]))
 
 
 def test_only_solving_commands_load_scipy():
-    # Commands that only solve Stark blocks (numpy's eigh) load neither scipy nor a process
-    # pool; a dense chain solve loads scipy.linalg and still leaves scipy.sparse to Lanczos.
+    # Commands that only solve Stark blocks or chain sectors of at most 16 states (numpy's eigh)
+    # load neither scipy nor a process pool: in the molecular regime chain-ed and phase-diagram
+    # solve only sectors n and n - 1.  A dense solve of a larger sector loads scipy.linalg and
+    # still leaves scipy.sparse to Lanczos.
     proc = subprocess.run([sys.executable, "-c", SOLVER_IMPORT_PROBE], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     codes, loads = json.loads(proc.stdout)
-    assert codes == {"version": 0, "convert": 0, "usage": 2, "couplings": 0, "coupling-grid": 0, "stark-map": 0}
+    assert codes == {
+        "version": 0,
+        "convert": 0,
+        "usage": 2,
+        "couplings": 0,
+        "coupling-grid": 0,
+        "stark-map": 0,
+        "chain-ed": 0,
+        "phase-diagram": 0,
+    }
     assert loads == {
         "import": [],
         "version": [],
@@ -557,6 +575,8 @@ def test_only_solving_commands_load_scipy():
         "couplings": [],
         "coupling-grid": [],
         "stark-map": [],
+        "chain-ed": [],
+        "phase-diagram": [],
         "moments": [],
         "dense": ["scipy", "scipy.linalg"],
     }
