@@ -476,22 +476,6 @@ def classify_phase(result: ChainResult, thresholds: PhaseThresholds | None = Non
     return Phase.LUTTINGER_LIQUID
 
 
-def _phase_rows(args: tuple) -> list[tuple]:
-    """All rows of one x: one moments call and one sector solve at unit Omega."""
-    (x, omegas, n, boundary, thresholds, j_max) = args
-    mset = moments(x, j_max)
-    spectra = _SectorSpectra(molecular_chain(mset, 1.0, n, boundary), "auto")
-    rows = []
-    for omega in omegas:
-        spec = molecular_chain(mset, omega, n, boundary)
-        result = spectra.ground_state(spec.gamma, scale=omega)
-        phase = classify_phase(result, thresholds)
-        jz_over_j = spec.jz / spec.j if spec.j != 0 else math.nan
-        gamma_over_j = spec.gamma / spec.j if spec.j != 0 else math.nan
-        rows.append((x, omega, jz_over_j, gamma_over_j, phase))
-    return rows
-
-
 def phase_diagram(
     x_grid,
     omega_grid,
@@ -504,12 +488,12 @@ def phase_diagram(
     """Phase labels over an (x, Omega/B) grid; rows ordered by (x, omega).
 
     x must be finite and non-negative and Omega/B finite and positive: the
-    chain couplings are then Omega times their unit-Omega values, so each x
-    is solved once for the whole Omega row.  ``workers > 1`` spreads the x
-    values over a process pool.
+    chain couplings are then Omega times their unit-Omega values, so each x is
+    solved once, at unit Omega, for its whole Omega row.  ``workers`` must be 1;
+    it goes once ``perfbench/workloads.py`` stops passing it (ROADMAP item 11).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers != 1:
+        raise ValueError(f"workers must be 1 (the scan runs in one process), got {workers}")
     xs = np.asarray(x_grid, dtype=float)
     omegas = np.asarray(omega_grid, dtype=float)
     if xs.ndim != 1 or omegas.ndim != 1 or not xs.size or not omegas.size:
@@ -520,17 +504,18 @@ def phase_diagram(
         raise ValueError(f"phase diagram Omega/B values must be finite and positive, got {omegas.tolist()}")
     if np.any(np.diff(xs) <= 0) or np.any(np.diff(omegas) <= 0):
         raise ValueError("phase diagram grids must be strictly ascending")
-    omega_row = [float(w) for w in omegas]
-    tasks = [(float(x), omega_row, n, boundary, thresholds, j_max) for x in xs]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            blocks = list(pool.map(_phase_rows, tasks))
-    else:
-        blocks = [_phase_rows(t) for t in tasks]
+    rows = []
+    for x in xs.tolist():
+        mset = moments(x, j_max)
+        spectra = _SectorSpectra(molecular_chain(mset, 1.0, n, boundary), "auto")
+        for omega in omegas.tolist():
+            spec = molecular_chain(mset, omega, n, boundary)
+            result = spectra.ground_state(spec.gamma, scale=omega)
+            jz_over_j = spec.jz / spec.j if spec.j != 0 else math.nan
+            gamma_over_j = spec.gamma / spec.j if spec.j != 0 else math.nan
+            rows.append((x, omega, jz_over_j, gamma_over_j, classify_phase(result, thresholds)))
     return Table(
         schema="phase_diagram.v1",
         columns=("x", "omega_over_b", "jz_over_j", "gamma_over_j", "phase"),
-        rows=[row for block in blocks for row in block],
+        rows=rows,
     )

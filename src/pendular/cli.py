@@ -33,7 +33,7 @@ from .chain import (
     phase_diagram,
 )
 from .fits import FIT_QUANTITIES, FitError, comparison_table
-from .moments import moment_curves, moments, stark_map, uniform_grid
+from .moments import checked_grid, moment_curves, moments, stark_map, uniform_grid
 from .pair import MAGIC_ANGLE, CouplingGeometry, coupling_surface, heisenberg_constants
 from .rotor import DEFAULT_J_MAX, EigensolverError
 from .tables import Table, render
@@ -62,7 +62,7 @@ def parse_grid(text: str) -> np.ndarray:
         start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
         if start <= 0 or stop <= 0 or count < 1:
             raise ValueError(f"log grid needs positive bounds and count, got {text!r}")
-        return np.geomspace(start, stop, count)
+        return checked_grid(text, count, lambda: np.geomspace(start, stop, count))
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -249,7 +249,6 @@ def cmd_phase_diagram(args) -> tuple[Table, dict | None]:
         boundary=args.boundary,
         thresholds=thresholds,
         j_max=args.j_max,
-        workers=args.workers,
     )
     return table, {"n": args.n, "boundary": args.boundary, "thresholds": asdict(thresholds)}
 
@@ -337,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--boundary", choices=("open", "periodic"), default="open")
     p.add_argument("--fm-threshold", type=float, default=0.99, help="|magnetization| for the polarized label")
-    p.add_argument("--workers", type=positive_int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_phase_diagram)
 

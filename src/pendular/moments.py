@@ -163,7 +163,18 @@ def uniform_grid(start: float, stop: float, step: float) -> NDArray[np.float64]:
             f"uniform grid needs finite start <= stop and step > 0, "
             f"got start={start}, stop={stop}, step={step}"
         )
-    return np.round(np.arange(start, stop + step / 2, step), 12)
+    points = (stop - start) / step + 1
+    return checked_grid(f"{start}:{stop}:{step}", points, lambda: np.round(np.arange(start, stop + step / 2, step), 12))
+
+
+def checked_grid(label: str, points: float, make) -> NDArray[np.float64]:
+    """``make()``, a grid of about ``points`` values; MemoryError naming ``label`` if it cannot be held."""
+    try:
+        if points > 2**60:  # numpy's cap: the bytes of a float64 array must count in an intp
+            raise MemoryError(f"{points:.3g} points")
+        return make()
+    except MemoryError as exc:
+        raise MemoryError(f"grid {label} is too large for memory: {exc}") from None
 
 
 @lru_cache(maxsize=1)

@@ -20,8 +20,8 @@ angular operators as
 which :func:`vdd_from_first_principles` evaluates term by term.  Note the
 last line: at tilted geometries (alpha not 0 or pi/2) it contributes
 single-molecule transition terms of size 3 sin(a)cos(a) * cx * c0/c1 * Omega
-that fall outside the two-qubit XYZ form; the XYZ mapping is exact only for
-arrays parallel or perpendicular to the field.
+that fall outside the two-qubit XYZ form.  On-axis the mapping is exact within
+the four product states, a space the interaction leaves at first order unless a = 0.
 """
 
 from __future__ import annotations
@@ -87,11 +87,11 @@ class HeisenbergConstants:
 def pair_hamiltonian(mset: MomentSet, geom: CouplingGeometry) -> NDArray[np.float64]:
     """Two-qubit part of the 4x4 pair Hamiltonian: energies plus coupling.
 
-    Exact for alpha in {0, pi/2}.  At a tilted alpha it omits the
-    single-molecule transition terms
-    -3 sin(a)cos(a) Omega (kron(T, C) + kron(C, T)), T = cx sigma_x,
-    C = diag(c0, c1), that the XYZ-plus-field form cannot hold;
-    :func:`vdd_from_first_principles` keeps them.
+    Exact within the four product states for alpha in {0, pi/2}, a space the
+    interaction leaves at first order unless alpha = 0.  At a tilted alpha it
+    omits the single-molecule transition terms -3 sin(a)cos(a) Omega
+    (kron(T, C) + kron(C, T)), T = cx sigma_x, C = diag(c0, c1), that the
+    XYZ-plus-field form cannot hold; :func:`vdd_from_first_principles` keeps them.
     """
     e0, e1 = mset.e0, mset.e1
     p, q, w = geom.p_alpha, geom.q_alpha, geom.omega

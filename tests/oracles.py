@@ -7,7 +7,8 @@ pseudo-spin moments from the public full-spectrum solver, chain ground
 states from every magnetization sector, with no pruning, the half-chain
 bound from every half sector, the sector diagonal from a loop over the
 bonds, the full chain
-Hamiltonian from Kronecker products of Pauli matrices, and CSV text from
+Hamiltonian from Kronecker products of Pauli matrices, two molecules with
+every M from the Y_J^M recursions, and CSV text from
 ``csv.writer`` one formatted cell at a time.  The Stark tridiagonal comes
 from the closed-form cos(theta) recursion coefficient, computed here
 element-wise, and is solved by scipy's checked tridiagonal solver.
@@ -173,6 +174,54 @@ def brute_force_pair_interaction(
     out = np.array([[entry(b, k) for k in basis] for b in basis])
     assert np.abs(out.imag).max() <= 1e-13
     return out.real
+
+
+def two_molecule_hamiltonian(
+    x: float, omega: float, alpha: float, states: list[tuple[int, int]], j_max: int = 30
+) -> np.ndarray:
+    """Two molecules with every M: Stark energies plus Omega times the dipole-dipole operator, units of B.
+
+    ``states`` lists single-molecule eigenstates as (M, level), level 0 the lowest of the M block;
+    rows and columns run over the products, index ``i * len(states) + j`` for molecule 1 in
+    ``states[i]`` and molecule 2 in ``states[j]``.  The basis |J, M> (|M| <= J <= j_max) carries
+    cos(theta) and s+ = sin(theta) e^{i phi} from the Y_J^M recursions
+        cos Y_J^M = a(J+1, M) Y_{J+1}^M + a(J, M) Y_{J-1}^M,  a(J, M) = sqrt((J^2 - M^2) / ((2J-1)(2J+1))),
+        s+ Y_J^M = -b(J+1, M+1) Y_{J+1}^{M+1} + b(J, -M) Y_{J-1}^{M+1},
+        b(J, M) = sqrt((J+M-1)(J+M) / ((2J-1)(2J+1))),
+    and s- = s+^T.  With the array axis n = (sin a, 0, cos a), the interaction
+        V/Omega = mu1.mu2 - 3 (mu1.n)(mu2.n),  mu.mu' = cos cos' + (s+ s-' + s- s+')/2,
+        mu.n = sin(a) (s+ + s-)/2 + cos(a) cos,
+    conserves M1 + M2 exactly when sin(a) = 0.  Nothing is shared with :mod:`pendular.rotor` or :mod:`pendular.pair`.
+    """
+    m_max = max(abs(m) for m, _ in states)
+    basis = [(j, m) for m in range(-m_max, m_max + 1) for j in range(abs(m), j_max + 1)]
+    index = {jm: i for i, jm in enumerate(basis)}
+    cos, s_plus = np.zeros((len(basis),) * 2), np.zeros((len(basis),) * 2)
+    for (j, m), col in index.items():
+        # A coefficient whose target lies outside the basis is 0 or dropped by the truncation.
+        for op, target, value in (
+            (cos, (j + 1, m), math.sqrt(((j + 1) ** 2 - m * m) / ((2 * j + 1) * (2 * j + 3)))),
+            (cos, (j - 1, m), math.sqrt((j * j - m * m) / ((2 * j - 1) * (2 * j + 1)))),
+            (s_plus, (j + 1, m + 1), -math.sqrt((j + m + 1) * (j + m + 2) / ((2 * j + 1) * (2 * j + 3)))),
+            (s_plus, (j - 1, m + 1), math.sqrt((j - m - 1) * (j - m) / ((2 * j - 1) * (2 * j + 1)))),
+        ):
+            if target in index:
+                op[index[target], col] = value
+    energies, vectors = [], []
+    for m, level in states:
+        block = [index[(j, m)] for j in range(abs(m), j_max + 1)]
+        e, v = np.linalg.eigh(np.diag([j * (j + 1.0) for j in range(abs(m), j_max + 1)]) - x * cos[np.ix_(block, block)])
+        vector = np.zeros(len(basis))
+        vector[block] = v[:, level]
+        energies.append(e[level])
+        vectors.append(vector)
+    u = np.array(vectors).T
+    c, sp = u.T @ cos @ u, u.T @ s_plus @ u
+    sm = sp.T
+    axis = math.sin(alpha) * (sp + sm) / 2 + math.cos(alpha) * c
+    v = np.kron(c, c) + (np.kron(sp, sm) + np.kron(sm, sp)) / 2 - 3.0 * np.kron(axis, axis)
+    one = np.eye(len(states))
+    return np.kron(np.diag(energies), one) + np.kron(one, np.diag(energies)) + omega * v
 
 
 def xx_open_chain_modes(n: int, j: float) -> np.ndarray:

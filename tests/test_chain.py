@@ -445,6 +445,17 @@ class TestGroundState:
             assert other.gap == pytest.approx(auto.gap, rel=0, abs=1e-12)
             assert other.nn_zz_correlation == pytest.approx(auto.nn_zz_correlation, rel=0, abs=1e-12)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="observables of a degenerate level depend on the solver's vector (ROADMAP item 9): "
+        "dense against iterative read 0.2671 / 0.4043 (n = 5), 0.2641 / 0.2968 (7), 0.2914 / 0.2669 (9)",
+    )
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_odd_ring_staggered_correlation_agrees_between_solvers(self, n):
+        spec = ChainSpec(n=n, j=1.0, jz=1.5, gamma=0.3, boundary="periodic")
+        dense, iterative = (ground_state(spec, method=m) for m in ("dense", "iterative"))
+        assert iterative.staggered_zz_correlation == pytest.approx(dense.staggered_zz_correlation, rel=0, abs=1e-12)
+
     @pytest.mark.parametrize("method", ["auto", "dense", "iterative"])
     def test_zero_couplings_every_method(self, method):
         res = ground_state(ChainSpec(n=12, j=0.0, jz=0.0, gamma=0.3), method=method)
@@ -812,9 +823,10 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError, match=re.escape(f"x {np.shape(xs)} and Omega/B {np.shape(omegas)}")):
             phase_diagram(xs, omegas, n=4)
 
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 2])
     def test_rejects_non_positive_workers(self, workers):
-        with pytest.raises(ValueError, match="workers"):
+        # The scan has one serial route; ``workers`` stays only for callers that pass 1.
+        with pytest.raises(ValueError, match=re.escape(f"workers must be 1 (the scan runs in one process), got {workers}")):
             phase_diagram([1.0], [1e-5], n=4, workers=workers)
 
     @pytest.mark.parametrize(
@@ -834,10 +846,9 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError, match=match):
             phase_diagram(xs, omegas, n=4)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_matches_per_point_route(self, workers):
+    def test_matches_per_point_route(self):
         xs, omegas = [0.0, 3.0, 9.0], [1e-5, 1e-2, 3.0]
-        table = phase_diagram(xs, omegas, n=6, boundary="periodic", workers=workers)
+        table = phase_diagram(xs, omegas, n=6, boundary="periodic", workers=1)
         expected = []
         for x in xs:
             mset = moments(x)
@@ -847,8 +858,3 @@ class TestPhaseDiagram:
                 ratios = (c.jz / c.j, c.gamma / c.j) if c.j != 0 else (math.nan, math.nan)
                 expected.append((x, omega, *ratios, classify_phase(res)))
         np.testing.assert_equal(table.rows, expected)
-
-    def test_parallel_matches_serial(self):
-        serial = phase_diagram([3.0, 7.0], [1e-5, 1e-4], n=6, workers=1)
-        parallel = phase_diagram([3.0, 7.0], [1e-5, 1e-4], n=6, workers=2)
-        assert serial.rows == parallel.rows

@@ -194,8 +194,6 @@ class TestPhaseDiagram:
             "log:1e-6:1e-4:3",
             "--n",
             "6",
-            "--workers",
-            "1",
         )
         assert proc.returncode == 0
         rows = parse_csv(proc.stdout)
@@ -212,8 +210,6 @@ class TestPhaseDiagram:
             "1e-5",
             "--n",
             "4",
-            "--workers",
-            "1",
             "--format",
             "json",
         )
@@ -241,12 +237,13 @@ class TestPhaseDiagram:
         proc = cli("phase-diagram", "--x-grid", "4", "--omega-grid", "1e-5", "--n", "4", "--out", str(out))
         assert proc.returncode == 0
         manifest = json.loads((tmp_path / "phase.csv.manifest.json").read_text())
-        assert manifest["parameters"]["workers"] == 1
+        assert manifest["parameters"]["n"] == 4
+        assert "workers" not in manifest["parameters"]
 
 
 class TestRejectedChainInputs:
-    """Bad scan points, lab inputs, thresholds and worker counts are usage errors (exit 2), caught
-    before any solve."""
+    """Bad scan points, lab inputs and thresholds are usage errors (exit 2), caught before any
+    solve; so is --workers, which phase-diagram no longer takes (it runs in one process)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -268,8 +265,7 @@ class TestRejectedChainInputs:
             ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "1e-110"],
             ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500", "--omega", "1"],
             ["phase-diagram", "--fm-threshold", "nan"],
-            ["phase-diagram", "--workers", "0"],
-            ["phase-diagram", "--workers=-2"],
+            ["phase-diagram", "--workers", "2"],
             ["chain-ed", "--x", "6", "--omega", "1e-4", "--presets", "/nonexistent/presets.ini"],
         ],
         ids=[
@@ -290,8 +286,7 @@ class TestRejectedChainInputs:
             "chain-ed-r-cube-underflow",
             "chain-ed-molecule-with-omega",
             "phase-diagram-fm-threshold-nan",
-            "phase-diagram-workers-zero",
-            "phase-diagram-workers-negative",
+            "phase-diagram-workers-flag",
             "chain-ed-presets-without-molecule",
         ],
     )
@@ -406,22 +401,39 @@ class TestRejectedMomentInputs:
 
 
 class TestOversizedGrid:
-    """A grid too large for memory is a numeric failure (exit 1), not a traceback. Every size is
-    at least 1e15 points, so numpy refuses the allocation before it touches any memory."""
+    """A grid too large for memory is a numeric failure (exit 1) whose one-line message names the
+    grid, not a traceback or a usage error. Every size is at least 1e15 points, so numpy refuses
+    the allocation, or the point count is refused first, before any memory is touched."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,grid",
         [
-            ["moments", "--x-grid", "0:1e15:1"],
-            ["moments", "--x-grid", "log:1:2:1000000000000000"],
-            ["stark-map", "--x-step", "1e-15"],
+            (["moments", "--x-grid", "0:1e15:1"], "0.0:1000000000000000.0:1.0"),
+            (["moments", "--x-grid", "log:1:2:1000000000000000"], "log:1:2:1000000000000000"),
+            (["stark-map", "--x-step", "1e-15"], "0.0:12.0:1e-15"),
+            (["moments", "--x-grid", "0:1e300:1"], "0.0:1e+300:1.0"),
+            (["moments", "--x-grid", "log:1:2:10000000000000000000"], "log:1:2:10000000000000000000"),
+            (["stark-map", "--x-max", "1", "--x-step", "1e-300"], "0.0:1.0:1e-300"),
+            # Past numpy's index range, arange and geomspace return an empty grid or raise IndexError.
+            (["moments", "--x-grid", "0:9223372036854775808:1"], "0.0:9.223372036854776e+18:1.0"),
+            (["moments", "--x-grid", "log:1:2:9223372036854775808"], "log:1:2:9223372036854775808"),
         ],
-        ids=["moments-linear", "moments-log", "stark-map-step"],
+        ids=[
+            "moments-linear",
+            "moments-log",
+            "stark-map-step",
+            "moments-linear-past-max-size",
+            "moments-log-past-max-size",
+            "stark-map-step-past-max-size",
+            "moments-linear-past-index-range",
+            "moments-log-past-index-range",
+        ],
     )
-    def test_numeric_error(self, cli, argv):
+    def test_numeric_error(self, cli, argv, grid):
         proc = cli(*argv)
         assert proc.returncode == 1
-        assert proc.stderr.startswith("pendular: error:") and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"pendular: error: grid {grid} is too large for memory: ")
+        assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 

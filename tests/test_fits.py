@@ -163,14 +163,35 @@ class TestBoundedCentres:
         assert -1.0 <= fit.params[4] <= 2.0
 
 
+#: Short windows where the separable fit ends above the 7-parameter oracle's cost, library against
+#: oracle: c0 0:1 6.7e-11 / 2.3e-15, c0 0:2 2.6e-13 / 2.0e-13, c0 0:3 5.3e-11 / 1.0e-11,
+#: cx 0:1 4.1e-13 / 5.7e-14.
+SHORT_WINDOW_MISSES = {(1.0, "c0"), (2.0, "c0"), (3.0, "c0"), (1.0, "cx")}
+SHORT_WINDOW_FOUND = pytest.mark.xfail(
+    strict=True, reason="fit_moment stops early on short flat windows (CHANGES.md FOUND, ROADMAP item 9)"
+)
+
+
 class TestSeparableFit:
     """trf searches the shape (x1, x2, k1, k2); the amplitudes are solved exactly per shape."""
 
     @pytest.mark.parametrize(
-        "step, quantity", [(step, q) for step in (0.01, 0.1) for q in ("c0", "c1", "cx")]
+        "x_max, step, quantity",
+        [pytest.param(12.0, step, q, id=f"{step}-{q}") for step in (0.01, 0.1) for q in ("c0", "c1", "cx")]
+        + [
+            pytest.param(
+                x_max,
+                0.01,
+                q,
+                id=f"0:{x_max:g}-{q}",
+                marks=[SHORT_WINDOW_FOUND] if (x_max, q) in SHORT_WINDOW_MISSES else [],
+            )
+            for x_max in (1.0, 2.0, 3.0)
+            for q in ("c0", "c1", "cx")
+        ],
     )
-    def test_matches_full_seven_parameter_fit(self, step, quantity):
-        xs, ys = fit_samples(quantity, x_max=12.0, step=step)
+    def test_matches_full_seven_parameter_fit(self, x_max, step, quantity):
+        xs, ys = fit_samples(quantity, x_max=x_max, step=step)
         initial = REFERENCE_MOMENT_PARAMS[quantity]
         fit = fit_moment(xs, ys, initial=initial)
         full = full_double_sigmoid_fit(xs, ys, initial)
@@ -180,7 +201,9 @@ class TestSeparableFit:
             return 0.5 * float(resid @ resid)
 
         assert cost(fit.params) <= cost(full) * (1 + 1e-6)
-        assert np.abs(fit.predict(xs) - double_sigmoid(xs, *full)).max() <= 1e-6
+        if x_max == 12.0:
+            # No curve check on the short windows: there the oracle itself stops early (cx on 0:2).
+            assert np.abs(fit.predict(xs) - double_sigmoid(xs, *full)).max() <= 1e-6
 
     def test_c1_fit_makes_few_residual_calls(self, dense_curves, monkeypatch):
         # The 7-parameter fit made about 2650 calls, most of them for

@@ -141,6 +141,56 @@ class TestFirstPrinciplesOracle:
         assert m_ss[1, 0] == pytest.approx(1j * mset.cx, abs=1e-14)
 
 
+#: Single-molecule states of the two-molecule oracle: down (lowest M = +1), up (second M = 0) and
+#: down's degenerate partner, the lowest M = -1 state.
+D_PLUS, UP, D_MINUS = 0, 1, 2
+ORACLE_STATES = [(1, 0), (0, 1), (-1, 0)]
+
+
+def product(a, b):
+    return a * len(ORACLE_STATES) + b
+
+
+class TestClosureOfThePseudoSpinSpace:
+    """The two-qubit form is exact within the four product states {dd, du, ud, uu}; the interaction
+    leaves that space at first order unless alpha = 0.  Checked against an oracle with every M,
+    built from the Y_J^M recursions alone."""
+
+    PAIR_BLOCK = [product(D_PLUS, D_PLUS), product(D_PLUS, UP), product(UP, D_PLUS), product(UP, UP)]
+
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 2])
+    @pytest.mark.parametrize("x", [2.0, 6.0, 8.0])
+    def test_reproduces_pair_hamiltonian_on_axis(self, x, alpha):
+        from oracles import two_molecule_hamiltonian
+
+        g = CouplingGeometry(omega=1.0, alpha=alpha)
+        h = two_molecule_hamiltonian(x, g.omega, alpha, ORACLE_STATES)
+        pair = pair_hamiltonian(moments(x), g)
+        block = h[np.ix_(self.PAIR_BLOCK, self.PAIR_BLOCK)]
+        assert block[1, 2] == pytest.approx(pair[1, 2], rel=1e-12)
+        assert np.abs(block - pair).max() <= 1e-12
+
+    @pytest.mark.parametrize("x", [2.0, 6.0, 8.0])
+    def test_no_leak_along_the_field(self, x):
+        # At alpha = 0 the interaction conserves M1 + M2, so |d+ u> (M = +1) never reaches
+        # |u d-> (M = -1), its partner at the same energy e0 + e1.
+        from oracles import two_molecule_hamiltonian
+
+        h = two_molecule_hamiltonian(x, 1.0, 0.0, ORACLE_STATES)
+        assert h[product(UP, D_MINUS), product(D_PLUS, UP)] == 0.0
+
+    @pytest.mark.parametrize("x,leak", [(2.0, 0.0765), (6.0, 0.173), (8.0, 0.183)])
+    def test_perpendicular_leak_is_a_documented_limitation(self, x, leak):
+        # At alpha = pi/2, |d+ u> couples to |u d-> with amplitude 3 Omega cx^2: three times the
+        # model's own flip-flop, and outside the four states the model keeps.
+        from oracles import two_molecule_hamiltonian
+
+        h = two_molecule_hamiltonian(x, 1.0, math.pi / 2, ORACLE_STATES)
+        coupling = abs(h[product(UP, D_MINUS), product(D_PLUS, UP)])
+        assert coupling == pytest.approx(3.0 * moments(x).cx ** 2, rel=1e-12)
+        assert coupling == pytest.approx(leak, abs=5e-4)
+
+
 class TestHeisenbergConstants:
     def test_explicit_formulas(self):
         m = moments(6.0)
