@@ -265,6 +265,8 @@ class TestRejectedChainInputs:
             ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "1e-110"],
             ["chain-ed", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500", "--omega", "1"],
             ["phase-diagram", "--fm-threshold", "nan"],
+            ["phase-diagram", "--workers", "0"],
+            ["phase-diagram", "--workers=-2"],
             ["phase-diagram", "--workers", "2"],
             ["chain-ed", "--x", "6", "--omega", "1e-4", "--presets", "/nonexistent/presets.ini"],
         ],
@@ -286,6 +288,8 @@ class TestRejectedChainInputs:
             "chain-ed-r-cube-underflow",
             "chain-ed-molecule-with-omega",
             "phase-diagram-fm-threshold-nan",
+            "phase-diagram-workers-zero",
+            "phase-diagram-workers-negative",
             "phase-diagram-workers-flag",
             "chain-ed-presets-without-molecule",
         ],
