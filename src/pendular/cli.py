@@ -60,8 +60,8 @@ def parse_grid(text: str) -> np.ndarray:
         if len(parts) != 4:
             raise ValueError(f"log grid needs log:start:stop:count, got {text!r}")
         start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
-        if start <= 0 or stop <= 0 or count < 1:
-            raise ValueError(f"log grid needs positive bounds and count, got {text!r}")
+        if not (0 < start < math.inf and 0 < stop < math.inf) or count < 1:  # also catches nan
+            raise ValueError(f"log grid needs finite positive bounds and a positive count, got {text!r}")
         return checked_grid(text, count, lambda: np.geomspace(start, stop, count))
     if ":" in text:
         parts = text.split(":")

@@ -128,6 +128,11 @@ def pseudo_spin_operators(
     return m_cos, m_sc, m_ss
 
 
+def _kron2(a: NDArray, b: NDArray) -> NDArray:
+    """``np.kron`` of two 2x2 matrices: the same elementwise products, without its generic wrapper."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def vdd_from_first_principles(
     x: float, geom: CouplingGeometry, j_max: int = DEFAULT_J_MAX
 ) -> NDArray[np.float64]:
@@ -141,12 +146,7 @@ def vdd_from_first_principles(
     sa, ca = math.sin(geom.alpha), math.cos(geom.alpha)
     # Projection of a unit dipole on the intermolecular axis.
     m_axis = sa * m_sc + ca * m_cos
-    v = (
-        np.kron(m_cos, m_cos)
-        + np.kron(m_sc, m_sc)
-        + np.kron(m_ss, m_ss)
-        - 3.0 * np.kron(m_axis, m_axis)
-    )
+    v = _kron2(m_cos, m_cos) + _kron2(m_sc, m_sc) + _kron2(m_ss, m_ss) - 3.0 * _kron2(m_axis, m_axis)
     residue = np.abs(v.imag).max()
     scale = max(1.0, np.abs(v.real).max())
     if residue > 1e-14 * scale:

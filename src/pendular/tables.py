@@ -2,11 +2,12 @@
 
 CSV layout: one `# schema=<name>` comment line, a header line, then data
 rows.  '.' decimal, ',' separator, LF line endings, floats at 12 significant
-digits, so identical inputs serialize to identical bytes.  A row whose cells
-are all Python floats goes out through one format string built from that
-same float format, so it matches the per-cell route byte for byte; any other
-row goes through `csv.writer`, which quotes where needed.  JSON writes floats
-at the same 12 digits, a non-finite float as null and -0.0 as 0.0.
+digits, so identical inputs serialize to identical bytes.  A block of rows
+of the header's width whose cells are all Python floats goes out through one
+format string built from that same float format, so it matches the per-cell
+route byte for byte; any other block goes row by row through `csv.writer`,
+which quotes where needed.  JSON writes floats at the same 12 digits, a
+non-finite float as null and -0.0 as 0.0.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from typing import Any
 
 #: The one CSV float format: 12 significant digits.
 _FLOAT = "%.12g"
+#: Rows per format call on the all-float route; blocks bound the transient cell tuple and text.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -52,12 +55,17 @@ def render_csv(table: Table) -> str:
     lines = [f"# schema={table.schema}\n"]
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(table.columns)
-    float_row = ",".join([_FLOAT] * len(table.columns)) + "\n"
-    for row in table.rows:
-        if len(row) == len(table.columns) and all(type(v) is float for v in row):
-            lines.append(float_row % tuple([v + 0.0 for v in row]))
+    width = len(table.columns)
+    float_row = ",".join([_FLOAT] * width) + "\n"
+    for start in range(0, len(table.rows), _BLOCK_ROWS):
+        block = table.rows[start : start + _BLOCK_ROWS]
+        cells = [v for row in block for v in row]
+        # Widths are checked per row: rows of 7 and 9 cells under 8 columns add up to 16.
+        if set(map(len, block)) == {width} and set(map(type, cells)) == {float}:
+            lines.append((float_row * len(block)) % tuple([v + 0.0 for v in cells]))  # + 0.0 turns -0.0 into 0
         else:
-            writer.writerow([_format_value(v) for v in row])
+            for row in block:
+                writer.writerow([_format_value(v) for v in row])
     return "".join(lines)
 
 

@@ -404,6 +404,33 @@ class TestRejectedMomentInputs:
         assert "x=1.0" in err and "m=1" in err and "j_max=1" in err
 
 
+class TestNonFiniteLogGrid:
+    """A log grid with an infinite or nan bound is the grid's own usage error (exit 2), named in the
+    message and raised before numpy sees the bounds, so no RuntimeWarning reaches stderr. Each case
+    runs in its own process, where a warning would print."""
+
+    @pytest.mark.parametrize(
+        "flag,grid",
+        [
+            ("--x-grid", "log:1:inf:3"),
+            ("--x-grid", "log:inf:inf:2"),
+            ("--x-grid", "log:nan:2:3"),
+            ("--x-grid", "log:1:nan:3"),
+            ("--omega-grid", "log:1e-6:inf:3"),
+            ("--omega-grid", "log:inf:inf:2"),
+            ("--omega-grid", "log:nan:1e-4:3"),
+            ("--omega-grid", "log:1e-6:nan:3"),
+        ],
+    )
+    def test_usage_error_names_the_grid(self, flag, grid):
+        command = "moments" if flag == "--x-grid" else "phase-diagram"
+        proc = run_cli(command, flag, grid)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert repr(grid) in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+
 class TestOversizedGrid:
     """A grid too large for memory is a numeric failure (exit 1) whose one-line message names the
     grid, not a traceback or a usage error. Every size is at least 1e15 points, so numpy refuses

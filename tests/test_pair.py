@@ -129,6 +129,16 @@ class TestFirstPrinciplesOracle:
         v = vdd_from_first_principles(x, CouplingGeometry(omega=omega, alpha=alpha))
         assert np.abs(brute - v).max() <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 4, MAGIC_ANGLE, math.pi / 2])
+    @pytest.mark.parametrize("x", [0.0, 2.0, 6.0, 12.0])
+    def test_bit_identical_to_the_kron_sum(self, x, alpha):
+        # The broadcast products are np.kron's own elementwise multiply, so not one bit moves.
+        m_cos, m_sc, m_ss = pseudo_spin_operators(x)
+        m_axis = math.sin(alpha) * m_sc + math.cos(alpha) * m_cos
+        v = np.kron(m_cos, m_cos) + np.kron(m_sc, m_sc) + np.kron(m_ss, m_ss) - 3.0 * np.kron(m_axis, m_axis)
+        g = CouplingGeometry(omega=1e-3, alpha=alpha)
+        assert np.array_equal(vdd_from_first_principles(x, g), g.omega * v.real)
+
     def test_pseudo_spin_operators_structure(self):
         m_cos, m_sc, m_ss = pseudo_spin_operators(4.0)
         mset = moments(4.0)

@@ -10,7 +10,7 @@ from oracles import csv_reference
 from pendular.chain import Phase
 from pendular.fits import comparison_table
 from pendular.pair import coupling_surface
-from pendular.tables import Table, render_csv, render_json
+from pendular.tables import _BLOCK_ROWS, Table, render_csv, render_json
 
 
 @pytest.fixture()
@@ -78,13 +78,41 @@ class TestCsvMatchesPerCellReference:
             [("a,b", 'say "hi"', "two\nlines", "", "plain", 1.5, -0.0, None)],
             [EDGE_FLOATS, (1.0, "x", None, 2, False, Phase.ANTIFERROMAGNETIC, np.float64(-0.0), 0.5), EDGE_FLOATS],
             [(1.0, 2.0), (1.0,) * 9, ()],
+            # 7 + 9 cells fill two 8-column rows, so only a per-row width check keeps them apart.
+            [(1.0,) * 7, (2.0,) * 9],
             [],
         ],
-        ids=["edge-floats", "non-float-cells", "quoted-strings", "float-next-to-mixed", "short-and-long", "no-rows"],
+        ids=[
+            "edge-floats",
+            "non-float-cells",
+            "quoted-strings",
+            "float-next-to-mixed",
+            "short-and-long",
+            "seven-and-nine",
+            "no-rows",
+        ],
     )
     def test_fixed_rows(self, rows):
         table = Table(schema="s.v1", columns=tuple(f"c{i}" for i in range(8)), rows=rows)
         assert render_csv(table) == csv_reference(table)
+
+    def test_rows_across_block_boundaries(self):
+        # Three blocks: all-float, one with a Phase row (row by row), and a short all-float tail,
+        # with -0.0 on both sides of each boundary.
+        assert 2 * _BLOCK_ROWS < 2500 < 3 * _BLOCK_ROWS
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((2500, 8)) * 10.0 ** rng.integers(-20, 20, size=(2500, 8))
+        rows = [tuple(row) for row in values.tolist()]
+        rows[0] = EDGE_FLOATS
+        for i in (_BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS):
+            rows[i] = (-0.0,) + rows[i][1:-1] + (-0.0,)
+        rows[1500] = (Phase.FERROMAGNETIC,) + rows[1500][1:]
+        table = Table(schema="s.v1", columns=tuple(f"c{i}" for i in range(8)), rows=rows)
+        text = render_csv(table)
+        assert text == csv_reference(table)
+        lines = text.splitlines()
+        assert lines[2 + _BLOCK_ROWS].startswith("0,") and lines[2 + 2 * _BLOCK_ROWS].endswith(",0")
+        assert lines[2 + 1500].startswith("ferromagnetic,")
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.floats(), min_size=3, max_size=3).map(tuple), max_size=20))
