@@ -345,6 +345,8 @@ class _SectorSpectra:
     """
 
     def __init__(self, spec: ChainSpec, method: str) -> None:
+        if method not in ("auto", "dense", "iterative"):
+            raise ValueError(f"method must be 'auto', 'dense' or 'iterative', got {method!r}")
         self.spec = free = replace(spec, gamma=0.0)
         self.bond_floor = min(spec.jz, -spec.jz - 2.0 * abs(spec.j))
         self.floor = len(spec.bonds) * self.bond_floor
@@ -443,19 +445,18 @@ def ground_state(spec: ChainSpec, method: str = "auto") -> ChainResult:
     that of solving every sector.  ``method`` applies to the solved sectors: "auto" (dense
     only up to :data:`DENSE_SECTOR_CUTOFF` states, Lanczos above), "dense",
     or "iterative" (Lanczos from three states up, dense when Lanczos breaks
-    down on a sector of at most :data:`DENSE_FALLBACK_CUTOFF` states).  A
-    chain with j = 0 is diagonal and needs neither.  Sector ground levels
-    within 1e-12 of a bound on every |level| tie and resolve toward positive
-    magnetization; the partner's magnetization is reported.  Raises
+    down on a sector of at most :data:`DENSE_FALLBACK_CUTOFF` states); any
+    other value raises ``ValueError``.  A chain with j = 0 is diagonal and
+    needs neither.  Sector ground levels within 1e-12 of a bound on every
+    |level| tie and resolve toward positive magnetization; the partner's
+    magnetization is reported.  Raises
     :class:`SectorConvergenceError` when a solved sector's eigenpair fails
     its residual check; skipped sectors are never checked.
     """
     return _SectorSpectra(spec, method).ground_state(spec.gamma)
 
 
-def polarization_onset_gamma(
-    n: int, j: float, jz: float, boundary: str = "open", method: str = "auto"
-) -> float:
+def polarization_onset_gamma(n: int, j: float, jz: float, boundary: str = "open") -> float:
     """Smallest gamma at which the fully polarized state is the global ground.
 
     Within each sector gamma only shifts energies by -gamma*(2k - n), so the
@@ -463,7 +464,7 @@ def polarization_onset_gamma(
     sectors whose crossing no bound caps below one already found.
     """
     spec = ChainSpec(n=n, j=j, jz=jz, gamma=0.0, boundary=boundary)
-    return _SectorSpectra(spec, method).onset_gamma()
+    return _SectorSpectra(spec, "auto").onset_gamma()
 
 
 def classify_phase(result: ChainResult, thresholds: PhaseThresholds | None = None) -> Phase:

@@ -200,42 +200,12 @@ def cmd_chain_ed(args) -> tuple[Table, dict | None]:
     spec = molecular_chain(moments(x, args.j_max), omega, args.n, args.boundary)
     result = ground_state(spec)
     phase = classify_phase(result)
+    observables = asdict(result)
+    del observables["ground_sector"], observables["degenerate_partner_magnetization"]
     table = Table(
         schema="chain_ed.v1",
-        columns=(
-            "n",
-            "boundary",
-            "x",
-            "omega_over_b",
-            "j",
-            "jz",
-            "gamma",
-            "ground_energy",
-            "magnetization_per_site",
-            "nn_zz_correlation",
-            "staggered_zz_correlation",
-            "gap",
-            "ground_overlap_polarized",
-            "phase",
-        ),
-        rows=[
-            (
-                args.n,
-                args.boundary,
-                x,
-                omega,
-                spec.j,
-                spec.jz,
-                spec.gamma,
-                result.ground_energy,
-                result.magnetization_per_site,
-                result.nn_zz_correlation,
-                result.staggered_zz_correlation,
-                result.gap,
-                result.ground_overlap_polarized,
-                phase,
-            )
-        ],
+        columns=("n", "boundary", "x", "omega_over_b", "j", "jz", "gamma", *observables, "phase"),
+        rows=[(args.n, args.boundary, x, omega, spec.j, spec.jz, spec.gamma, *observables.values(), phase)],
     )
     return table, {"units": units} if units else None
 
@@ -267,12 +237,10 @@ def cmd_convert(args) -> tuple[Table, dict | None]:
     return table, None
 
 
-def _add_common(sub, presets: bool = False) -> None:
+def _add_common(sub) -> None:
     sub.add_argument("--out", help="output file path (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--j-max", type=positive_int, default=DEFAULT_J_MAX, help="basis truncation")
-    if presets:
-        sub.add_argument("--presets", help="molecule preset file (or PENDULAR_PRESETS env var)")
 
 
 def _add_point_flags(sub) -> None:
@@ -281,6 +249,7 @@ def _add_point_flags(sub) -> None:
     sub.add_argument("--molecule", help="derive --x/--omega from a preset instead")
     sub.add_argument("--epsilon", type=float, help="field strength in kV/cm (with --molecule)")
     sub.add_argument("--r", type=float, help="separation in nm (with --molecule)")
+    sub.add_argument("--presets", help="molecule preset file (or PENDULAR_PRESETS env var)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("couplings", help="two-molecule model constants at one point")
     _add_point_flags(p)
     p.add_argument("--alpha", default="0", help="array tilt in degrees, or 'magic'")
-    _add_common(p, presets=True)
+    _add_common(p)
     p.set_defaults(func=cmd_couplings)
 
     p = subs.add_parser("coupling-grid", help="coupling constants per unit Omega on an (x, alpha) grid")
@@ -327,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--boundary", choices=("open", "periodic"), default="open")
     _add_point_flags(p)
-    _add_common(p, presets=True)
+    _add_common(p)
     p.set_defaults(func=cmd_chain_ed)
 
     p = subs.add_parser("phase-diagram", help="phase labels over an (x, Omega/B) grid")
@@ -343,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--molecule", required=True)
     p.add_argument("--epsilon", type=float, help="field strength in kV/cm")
     p.add_argument("--r", type=float, help="separation in nm")
-    _add_common(p, presets=True)
+    p.add_argument("--presets", help="molecule preset file (or PENDULAR_PRESETS env var)")
+    p.add_argument("--out", help="output file path (default: stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_convert)
 
     return parser

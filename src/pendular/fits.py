@@ -115,7 +115,7 @@ def fit_gap(xs, ys) -> PolyFit:
     return PolyFit(coefficients=tuple(float(c) for c in coeffs), r_squared=_r_squared(ys, model))
 
 
-def fit_moment(xs, ys, initial=None) -> SigmoidFit:
+def fit_moment(xs, ys, initial) -> SigmoidFit:
     """Least squares of a double sigmoid through the samples.
 
     Trust-region search runs over the shape (x1, x2, k1, k2) only; for each
@@ -130,7 +130,7 @@ def fit_moment(xs, ys, initial=None) -> SigmoidFit:
         raise ValueError("moment samples must be two equal-length 1-D arrays")
     if xs.size < 50:
         raise ValueError(f"need at least 50 moment samples, got {xs.size}")
-    initial = np.asarray(REFERENCE_MOMENT_PARAMS["c0"] if initial is None else initial, dtype=float)
+    initial = np.asarray(initial, dtype=float)
     if initial.shape != (7,):
         raise ValueError(f"initial must hold the 7 double-sigmoid parameters, got shape {initial.shape}")
     # Imported here so that importing the package does not load scipy.optimize.
@@ -174,12 +174,6 @@ def fit_samples(
     return curves["x"], curves["delta_e" if quantity == "gap" else quantity]
 
 
-def refit(quantity: str, xs, ys) -> PolyFit | SigmoidFit:
-    if quantity == "gap":
-        return fit_gap(xs, ys)
-    return fit_moment(xs, ys, initial=REFERENCE_MOMENT_PARAMS[quantity])
-
-
 def reference_curve(quantity: str, xs, alternate: bool = False) -> NDArray[np.float64]:
     """Reference-parameter curve; ``alternate`` selects the other cx reading."""
     if quantity == "gap":
@@ -200,7 +194,7 @@ def comparison_table(
     For cx the table carries both readings of the ambiguous reference x1.
     """
     xs, ys = fit_samples(quantity, x_max, step, j_max)
-    fit = refit(quantity, xs, ys)
+    fit = fit_gap(xs, ys) if quantity == "gap" else fit_moment(xs, ys, REFERENCE_MOMENT_PARAMS[quantity])
     curves = {"x": xs, "computed": ys, "reference": reference_curve(quantity, xs)}
     if quantity == "cx":
         curves["reference_alt"] = reference_curve(quantity, xs, alternate=True)

@@ -80,15 +80,11 @@ class MomentSet:
 
 
 class _PseudoSpin(NamedTuple):
-    """Oriented states, energies and moments of the pseudo-spin pair at one x."""
+    """Energies and moments of the pseudo-spin pair at one x, with its oriented states."""
 
+    moments: MomentSet
     down: NDArray[np.float64]
     up: NDArray[np.float64]
-    e0: float
-    e1: float
-    c0: np.float64
-    c1: np.float64
-    cx: np.float64
 
 
 def _contract(kind: str, bra, m_bra: int, ket, m_ket: int, j_max: int) -> np.float64:
@@ -128,15 +124,12 @@ def _pseudo_spin(x: float, j_max: int) -> _PseudoSpin:
         up, cx = -up, -cx
     c0 = _contract("cos_theta", down, DOWN_M, down, DOWN_M, j_max)
     c1 = _contract("cos_theta", up, UP_M, up, UP_M, j_max)
-    return _PseudoSpin(down, up, e0, e1, c0, c1, cx)
+    return _PseudoSpin(MomentSet(float(x), e0, e1, float(c0), float(c1), float(cx)), down, up)
 
 
 def moments(x: float, j_max: int = DEFAULT_J_MAX) -> MomentSet:
     """Pseudo-spin energies and dipole moments at reduced field x."""
-    ps = _pseudo_spin(x, j_max)
-    return MomentSet(
-        x=float(x), e0=ps.e0, e1=ps.e1, c0=float(ps.c0), c1=float(ps.c1), cx=float(ps.cx)
-    )
+    return _pseudo_spin(x, j_max).moments
 
 
 def moment_curves(
@@ -206,11 +199,13 @@ def stark_map(
     """Pendular level energies: rows (x, m, j_tilde, energy_over_b).
 
     Lowest ``n_states`` adiabatic levels per m block, ordered by
-    (x, m, j_tilde).
+    (x, m, j_tilde); ``m_values`` must be strictly ascending.
     """
     xs = _validated_grid(x_grid)
     if n_states < 1:
         raise ValueError("n_states must be positive")
+    if any(b <= a for a, b in zip(m_values, m_values[1:])):
+        raise ValueError(f"m blocks must be strictly ascending, got {tuple(m_values)}")
     rows = []
     for x in xs:
         for m in m_values:

@@ -122,8 +122,8 @@ def pseudo_spin_operators(
     ps = _pseudo_spin(x, j_max)
     # <down|ss|up> = i * K_du; Hermiticity gives <up|ss|down> = -i * K_du.
     k_du = _contract("sin_theta_sin_phi", ps.down, DOWN_M, ps.up, UP_M, j_max)
-    m_cos = np.array([[ps.c0, 0.0], [0.0, ps.c1]])
-    m_sc = np.array([[0.0, ps.cx], [ps.cx, 0.0]])
+    m_cos = np.array([[ps.moments.c0, 0.0], [0.0, ps.moments.c1]])
+    m_sc = np.array([[0.0, ps.moments.cx], [ps.moments.cx, 0.0]])
     m_ss = np.array([[0.0, 1.0j * k_du], [-1.0j * k_du, 0.0]])
     return m_cos, m_sc, m_ss
 

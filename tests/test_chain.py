@@ -456,6 +456,11 @@ class TestGroundState:
         dense, iterative = (ground_state(spec, method=m) for m in ("dense", "iterative"))
         assert iterative.staggered_zz_correlation == pytest.approx(dense.staggered_zz_correlation, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("method", ["Dense", "lanczos", ""])
+    def test_unknown_method_is_rejected(self, method):
+        with pytest.raises(ValueError, match="method must be"):
+            ground_state(ChainSpec(n=12, j=1.0, jz=0.5, gamma=0.0), method=method)
+
     @pytest.mark.parametrize("method", ["auto", "dense", "iterative"])
     def test_zero_couplings_every_method(self, method):
         res = ground_state(ChainSpec(n=12, j=0.0, jz=0.0, gamma=0.3), method=method)
@@ -582,7 +587,7 @@ class TestSectorPruning:
         spec = ChainSpec(n=n, j=j, jz=jz, gamma=gamma, boundary=boundary)
         expected, onset = all_sectors_ground_state(spec, method)
         assert ground_state(spec, method) == expected
-        assert polarization_onset_gamma(n, j, jz, boundary=boundary, method=method) == onset
+        assert chain_module._SectorSpectra(spec, method).onset_gamma() == onset
         # The onset field is a level crossing, so the tie rule decides there.
         at_onset = replace(spec, gamma=onset)
         assert ground_state(at_onset, method) == all_sectors_ground_state(at_onset, method)[0]

@@ -79,6 +79,11 @@ class TestStarkMap:
         ]
         assert max(gaps) == pytest.approx(3.7, abs=0.1)
 
+    def test_negative_m_block(self, cli):
+        proc = cli("stark-map", "--x-max", "0.1", "--m=-1,0,1", "--n-states", "1")
+        assert proc.returncode == 0
+        assert [r["m"] for r in parse_csv(proc.stdout)] == ["-1", "0", "1"] * 2
+
     def test_zero_step_is_usage_error(self, cli):
         proc = cli("stark-map", "--x-step", "0")
         assert proc.returncode == 2
@@ -174,7 +179,31 @@ class TestFit:
         assert proc.returncode == 2
 
 
+CHAIN_ED_COLUMNS = [
+    "n",
+    "boundary",
+    "x",
+    "omega_over_b",
+    "j",
+    "jz",
+    "gamma",
+    "ground_energy",
+    "magnetization_per_site",
+    "nn_zz_correlation",
+    "staggered_zz_correlation",
+    "gap",
+    "ground_overlap_polarized",
+    "phase",
+]
+
+
 class TestChainEd:
+    def test_columns_are_pinned(self, cli):
+        # chain_ed.v1 carries these 14 columns in this order; ground_sector stays out.
+        argv = ("chain-ed", "--n", "6", "--x", "6", "--omega", "1e-4")
+        assert cli(*argv).stdout.splitlines()[1] == ",".join(CHAIN_ED_COLUMNS)
+        assert strict_json(cli(*argv, "--format", "json").stdout)["columns"] == CHAIN_ED_COLUMNS
+
     def test_weak_coupling_point(self, cli):
         proc = cli("chain-ed", "--n", "8", "--x", "6", "--omega", "1e-4")
         assert proc.returncode == 0
@@ -329,6 +358,8 @@ class TestRejectedMomentInputs:
             ["fit", "--quantity", "gap", "--x-max", "nan"],
             ["fit", "--quantity", "c0", "--x-step", "5"],
             ["stark-map", "--m", "0,1,2,3,4", "--j-max", "2"],
+            ["stark-map", "--m", "1,1"],
+            ["stark-map", "--m", "1,0"],
             ["convert", "--molecule", "SrO", "--epsilon=-5"],
             ["convert", "--molecule", "SrO", "--epsilon", "nan"],
             ["convert", "--molecule", "SrO", "--r", "0"],
@@ -340,6 +371,7 @@ class TestRejectedMomentInputs:
             ["couplings", "--x", "6", "--omega", "1e308"],
             ["convert", "--molecule", "SrO", "--r", "1e-110"],
             ["convert", "--molecule", "SrO", "--r", "1e200"],
+            ["convert", "--molecule", "SrO", "--epsilon", "1", "--j-max", "3"],
             ["couplings", "--molecule", "SrO", "--epsilon", "13.5"],
             ["couplings", "--molecule", "SrO", "--epsilon", "13.5", "--r", "500", "--x", "6"],
             ["couplings", "--x", "6", "--omega", "1e-4", "--r", "500"],
@@ -368,6 +400,8 @@ class TestRejectedMomentInputs:
             "fit-x-max-nan",
             "fit-too-few-samples",
             "stark-map-m-above-j-max",
+            "stark-map-m-duplicate",
+            "stark-map-m-descending",
             "convert-epsilon-negative",
             "convert-epsilon-nan",
             "convert-r-zero",
@@ -379,6 +413,7 @@ class TestRejectedMomentInputs:
             "couplings-omega-overflow",
             "convert-r-cube-underflow",
             "convert-r-cube-overflow",
+            "convert-j-max-flag",
             "couplings-molecule-without-r",
             "couplings-molecule-with-x",
             "couplings-r-without-molecule",

@@ -153,6 +153,12 @@ class TestStarkMap:
         with pytest.raises(ValueError):
             stark_map([-1.0, 0.0])
 
+    @pytest.mark.parametrize("m_values", [(1, 1), (1, 0), (-1, 1, 0)])
+    def test_rejects_m_blocks_out_of_order(self, m_values):
+        # Duplicate or descending blocks would repeat rows or break the (x, m, j_tilde) order.
+        with pytest.raises(ValueError, match="strictly ascending"):
+            stark_map([0.0, 1.0], m_values=m_values)
+
 
 class TestCoefficientMap:
     """Spherical-harmonic content of the oriented pseudo-spin states; index i is J = |m| + i."""
