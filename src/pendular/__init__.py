@@ -28,7 +28,7 @@ from .pair import (
     vdd_from_first_principles,
     xyz_matrix,
 )
-from .rotor import BasisSpec, PendularSolution, operator_matrix, solve_pendular
+from .rotor import BasisSpec, operator_matrix
 from .units import MoleculePreset, load_presets, omega_over_b, reduced_field
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "MAGIC_ANGLE",
     "MomentSet",
     "MoleculePreset",
-    "PendularSolution",
     "Phase",
     "PhaseThresholds",
     "PolyFit",
@@ -58,7 +57,6 @@ __all__ = [
     "pair_hamiltonian",
     "phase_diagram",
     "reduced_field",
-    "solve_pendular",
     "stark_map",
     "vdd_from_first_principles",
     "xyz_matrix",

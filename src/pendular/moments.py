@@ -9,11 +9,11 @@ moment cx = <down|sin(theta)cos(phi)|up>, plus a tabulated scan of the
 pendular level energies.  A uniform 0:stop:step grid is solved once per run
 and shared by the fits of :mod:`pendular.fits` and the c1 zero crossing.
 
-Sign handling: eigenvector phases are arbitrary, and the raw rule used by
-:mod:`pendular.rotor` (largest coefficient positive) would flip the up state
-wherever its leading component changes identity (near x ~ 4.5).  Quantities
-built from two different states, cx in particular, must instead be smooth in
-x, so this module orients the pair as follows.  |down> has its J = 1
+Sign handling: eigenvector phases are arbitrary, and a rule such as
+"largest coefficient positive" would flip the up state wherever its leading
+component changes identity (near x ~ 4.5).  Quantities built from two
+different states, cx in particular, must instead be smooth in x, so this
+module orients the pair as follows.  |down> has its J = 1
 component positive: it is the lowest state of a tridiagonal matrix whose
 off-diagonal entries -x<J+1|cos|J> are all negative, so all its components
 share one sign and the anchor never vanishes.  |up> is then signed so that
@@ -23,10 +23,10 @@ the whole accepted domain, cx(x) is positive for x > 0, and c0, c1 and the
 energies do not depend on the choice.
 
 All of this runs through one private kernel, :func:`_pseudo_spin`: two
-block solves through the same solver as :func:`pendular.rotor.solve_pendular`,
-and contractions with the operator matrices that :mod:`pendular.rotor`
-caches read-only.  It rejects a non-finite or negative x, and a
-basis too small for x (:class:`TruncationError`).
+block solves through :func:`pendular.rotor._stark_eigh`, the solve that
+:func:`stark_map` reads too, and contractions with the operator matrices
+that :mod:`pendular.rotor` caches read-only.  It rejects a non-finite or
+negative x, and a basis too small for x (:class:`TruncationError`).
 """
 
 from __future__ import annotations
@@ -38,13 +38,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .rotor import (
-    DEFAULT_J_MAX,
-    BasisSpec,
-    _operator,
-    _stark_eigh,
-    solve_pendular,
-)
+from .rotor import DEFAULT_J_MAX, _operator, _stark_eigh
 from .tables import Table
 
 #: m blocks hosting the two pseudo-spin states.
@@ -97,11 +91,7 @@ def _contract(kind: str, bra, m_bra: int, ket, m_ket: int, j_max: int) -> np.flo
 
 
 def _block_state(x: float, m: int, level: int, j_max: int) -> tuple[float, NDArray[np.float64]]:
-    """Energy and J = 1-positive vector of one level of the m block.
-
-    Same full-spectrum block solve as :func:`~pendular.rotor.solve_pendular`,
-    so energies and vectors are bit-identical to it.
-    """
+    """Energy and J = 1-positive vector of one level of the m block, from its full-spectrum solve."""
     energies, vecs = _stark_eigh(x, m, j_max)
     vec = vecs[:, level]
     if vec[1 - abs(m)] < 0:  # the J = 1 component
@@ -179,14 +169,15 @@ def _grid_curves(stop: float, step: float, j_max: int) -> dict[str, NDArray[np.f
     return curves
 
 
-def _validated_grid(x_grid) -> NDArray[np.float64]:
-    xs = np.asarray(x_grid, dtype=np.float64)
+def _validated_grid(values, name: str = "x") -> NDArray[np.float64]:
+    """``values`` as a non-empty, non-negative, strictly ascending 1-D axis; ``name`` labels the messages."""
+    xs = np.asarray(values, dtype=np.float64)
     if xs.ndim != 1 or not xs.size:
-        raise ValueError(f"x grid must be a non-empty 1-D array, got shape {xs.shape}")
+        raise ValueError(f"{name} grid must be a non-empty 1-D array, got shape {xs.shape}")
     if np.any(xs < 0):
-        raise ValueError("x grid must be non-negative")
+        raise ValueError(f"{name} grid must be non-negative")
     if np.any(np.diff(xs) <= 0):
-        raise ValueError("x grid must be strictly ascending")
+        raise ValueError(f"{name} grid must be strictly ascending")
     return xs
 
 
@@ -198,8 +189,9 @@ def stark_map(
 ) -> Table:
     """Pendular level energies: rows (x, m, j_tilde, energy_over_b).
 
-    Lowest ``n_states`` adiabatic levels per m block, ordered by
-    (x, m, j_tilde); ``m_values`` must be strictly ascending.
+    Lowest ``n_states`` levels per m block, ordered by (x, m, j_tilde);
+    ``m_values`` must be strictly ascending.  Within one m block the levels
+    never cross, so the k-th carries the adiabatic label j_tilde = |m| + k.
     """
     xs = _validated_grid(x_grid)
     if n_states < 1:
@@ -207,11 +199,10 @@ def stark_map(
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise ValueError(f"m blocks must be strictly ascending, got {tuple(m_values)}")
     rows = []
-    for x in xs:
+    for x in xs.tolist():
         for m in m_values:
-            sol = solve_pendular(float(x), BasisSpec(m=m, j_max=j_max))
-            for k in range(min(n_states, sol.spec.dim)):
-                rows.append((float(x), m, sol.j_tilde(k), float(sol.energies[k])))
+            energies = _stark_eigh(x, m, j_max)[0]
+            rows += [(x, m, abs(m) + k, float(e)) for k, e in enumerate(energies[:n_states])]
     return Table(
         schema="stark_map.v1",
         columns=("x", "m", "j_tilde", "energy_over_b"),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .moments import DOWN_M, UP_M, MomentSet, _contract, _pseudo_spin, moments
+from .moments import MomentSet, _pseudo_spin, _validated_grid, moments
 from .rotor import DEFAULT_J_MAX
 from .tables import Table
 
@@ -120,8 +120,9 @@ def pseudo_spin_operators(
     the sin operators change it by one), not by approximation.
     """
     ps = _pseudo_spin(x, j_max)
-    # <down|ss|up> = i * K_du; Hermiticity gives <up|ss|down> = -i * K_du.
-    k_du = _contract("sin_theta_sin_phi", ps.down, DOWN_M, ps.up, UP_M, j_max)
+    # From m = 0 to m = 1, sin*sin(phi) is -i sin*cos(phi), so <down|ss|up> = i * K_du with
+    # K_du = -cx; Hermiticity gives <up|ss|down> = -i * K_du.  0.0 - cx keeps +0.0 at cx = 0.
+    k_du = 0.0 - ps.moments.cx
     m_cos = np.array([[ps.moments.c0, 0.0], [0.0, ps.moments.c1]])
     m_sc = np.array([[0.0, ps.moments.cx], [ps.moments.cx, 0.0]])
     m_ss = np.array([[0.0, 1.0j * k_du], [-1.0j * k_du, 0.0]])
@@ -192,14 +193,11 @@ def coupling_surface(x_grid, alpha_grid, j_max: int = DEFAULT_J_MAX) -> Table:
     it; only the final + - * / run over the grid, in the same order, so every
     row equals :func:`heisenberg_constants` at Omega = 1 bit for bit.
     """
-    xs, alphas = np.asarray(x_grid, dtype=float), np.asarray(alpha_grid, dtype=float)
-    if xs.ndim != 1 or alphas.ndim != 1 or not xs.size or not alphas.size:
-        raise ValueError(
-            f"coupling surface needs a non-empty grid of two 1-D axes, got x {xs.shape} and alpha {alphas.shape}"
-        )
-    xs, alphas = xs.tolist(), alphas.tolist()
-    for a in alphas:
-        CouplingGeometry(omega=1.0, alpha=a)  # the one tilt check, with its message
+    xs = _validated_grid(x_grid, "x").tolist()
+    # The one tilt check, with its message, ahead of the axis check's "non-negative".
+    for a in np.ravel(alpha_grid).tolist():
+        CouplingGeometry(omega=1.0, alpha=a)
+    alphas = _validated_grid(alpha_grid, "alpha").tolist()
     msets = [moments(x, j_max) for x in xs]
     # Per x, as Python scalars: libm pow and numpy's square can differ by an ulp.
     cx = np.array([[m.cx] for m in msets])

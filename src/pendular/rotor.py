@@ -21,7 +21,9 @@ in the test suite before anything downstream relies on it.
 
 Each block is built as H(x) = J**2 - x*cos(theta) from two cached,
 read-only matrices per (m, j_max): the field-free diagonal and the same
-cos(theta) matrix that :mod:`pendular.moments` contracts with.
+cos(theta) matrix that :mod:`pendular.moments` contracts with.  One private
+solve, :func:`_stark_eigh`, returns every block's energies and vectors; the
+moments kernel and :func:`pendular.moments.stark_map` both read it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from numpy.typing import NDArray
 #: all quantities for reduced fields x <= 12 far beyond plotting precision.
 DEFAULT_J_MAX = 30
 
-OPERATOR_KINDS = ("cos_theta", "sin_theta_cos_phi", "sin_theta_sin_phi")
+OPERATOR_KINDS = ("cos_theta", "sin_theta_cos_phi")
 
 
 class EigensolverError(RuntimeError):
@@ -64,26 +66,6 @@ class BasisSpec:
     @property
     def j_values(self) -> NDArray[np.int_]:
         return np.arange(abs(self.m), self.j_max + 1)
-
-
-@dataclass(frozen=True)
-class PendularSolution:
-    """Eigenstates of one m block at reduced field x.
-
-    ``energies`` are ascending, in units of B.  Column k of ``coefficients``
-    expands the k-th pendular state over the basis of ``spec``; within one m
-    block the levels never cross, so k carries the adiabatic label
-    J-tilde = |m| + k.  The sign of each column is fixed by making its
-    largest-magnitude entry positive.
-    """
-
-    x: float
-    spec: BasisSpec
-    energies: NDArray[np.float64]
-    coefficients: NDArray[np.float64]
-
-    def j_tilde(self, k: int) -> int:
-        return abs(self.spec.m) + k
 
 
 def _cos_coupling(j: int, m: int) -> float:
@@ -136,24 +118,12 @@ def _stark_eigh(x: float, m: int, j_max: int) -> tuple[NDArray[np.float64], NDAr
     return energies, np.asfortranarray(vecs)
 
 
-def solve_pendular(x: float, spec: BasisSpec) -> PendularSolution:
-    """Diagonalize one m block of the Stark Hamiltonian at reduced field x."""
-    energies, vecs = _stark_eigh(x, spec.m, spec.j_max)
-    # Fix the arbitrary eigenvector signs: largest-magnitude entry positive.
-    dominant = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[dominant, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    vecs = vecs * signs
-    return PendularSolution(x=float(x), spec=spec, energies=energies, coefficients=vecs)
-
-
 def operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) -> NDArray[np.float64]:
     """Matrix <J',m'|op|J,m> between two truncated bases.
 
-    ``kind`` selects the operator: "cos_theta" requires m' = m, the two
-    sin(theta) operators require m' = m + 1.  For "sin_theta_sin_phi" the
-    elements are purely imaginary; the returned real matrix K is the operator
-    divided by i (full operator = i*K).
+    ``kind`` selects the operator: "cos_theta" requires m' = m,
+    "sin_theta_cos_phi" requires m' = m + 1.  On that block
+    sin(theta)sin(phi) is -i times the sin(theta)cos(phi) matrix.
     """
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
@@ -180,9 +150,7 @@ def operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) -> NDAr
         up, down = _raise_to_upper(j, mk), _raise_to_lower(j, mk)
         if j - 1 < abs(mb):
             down = 0.0
-        # Only sin(theta)e^{+i phi} links m to m + 1: sin*cos is half of it, and
-        # sin*sin = sin(theta)(e^{+i phi} - e^{-i phi}) / (2i) divided by i is minus half.
-        half = 0.5 if kind == "sin_theta_cos_phi" else -0.5
-        put(j + 1, col, half * up)
-        put(j - 1, col, half * down)
+        # Only sin(theta)e^{+i phi} links m to m + 1, and sin*cos is half of it.
+        put(j + 1, col, 0.5 * up)
+        put(j - 1, col, 0.5 * down)
     return out

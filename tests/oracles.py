@@ -3,7 +3,7 @@
 Everything here deliberately avoids the code paths under test: matrix
 elements come from brute-force spherical quadrature, derivatives from
 central differences, XX-chain energies from the free-fermion mapping, the
-pseudo-spin moments from the public full-spectrum solver, chain ground
+pseudo-spin moments from scipy's checked tridiagonal solver, chain ground
 states from every magnetization sector, with no pruning, the half-chain
 bound from every half sector, the sector diagonal from a loop over the
 bonds, the full chain
@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import sph_harm_y
 
-from pendular.rotor import BasisSpec, operator_matrix, solve_pendular
+from pendular.rotor import BasisSpec, operator_matrix
 
 
 def stark_tridiagonal(x: float, m: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,37 +94,39 @@ def checked_tridiagonal_solve(x: float, m: int, j_max: int) -> tuple[np.ndarray,
 
 
 def _j1_positive_state(x: float, m: int, j_tilde: int, j_max: int) -> np.ndarray:
-    """Pendular state re-signed so that its J = 1 component is positive."""
-    sol = solve_pendular(x, BasisSpec(m=m, j_max=j_max))
-    vec = sol.coefficients[:, j_tilde - abs(m)]
+    """Pendular state from :func:`checked_tridiagonal_solve`, re-signed so that its J = 1 component is positive."""
+    vec = checked_tridiagonal_solve(x, m, j_max)[1][:, j_tilde - abs(m)]
     if vec[1 - abs(m)] < 0:  # the J = 1 component
         vec = -vec
     return vec
 
 
 def public_route_elements(x: float, j_max: int = 30) -> dict[str, float]:
-    """e0, e1 and the four pseudo-spin matrix elements from public rotor calls.
+    """e0, e1 and the four pseudo-spin matrix elements from scipy's solver and public operator matrices.
 
-    Each state is solved with :func:`solve_pendular` over its full spectrum,
-    both states carry the J = 1-positive sign, and each operator matrix is
-    rebuilt with :func:`operator_matrix`.  On 0 < x <= 12 this sign already
-    makes cx positive.  ``k_du`` is <down|sin(theta)sin(phi)|up> / i.
+    Each state is solved with :func:`checked_tridiagonal_solve` over its full
+    spectrum, both states carry the J = 1-positive sign, and each operator
+    matrix is rebuilt with :func:`operator_matrix`.  On 0 < x <= 12 this sign
+    already makes cx positive.  ``k_du`` is <down|sin(theta)sin(phi)|up> / i,
+    contracted with minus the sin(theta)cos(phi) matrix: the m = 0 to 1 block
+    identity that the quadrature tests pin.
     """
     spec_d, spec_u = BasisSpec(m=1, j_max=j_max), BasisSpec(m=0, j_max=j_max)
     down = _j1_positive_state(x, 1, 1, j_max)
     up = _j1_positive_state(x, 0, 1, j_max)
+    sin_cos = operator_matrix("sin_theta_cos_phi", spec_d, spec_u)
     return {
-        "e0": float(solve_pendular(x, spec_d).energies[0]),
-        "e1": float(solve_pendular(x, spec_u).energies[1]),
+        "e0": float(checked_tridiagonal_solve(x, 1, j_max)[0][0]),
+        "e1": float(checked_tridiagonal_solve(x, 0, j_max)[0][1]),
         "c0": down @ operator_matrix("cos_theta", spec_d, spec_d) @ down,
         "c1": up @ operator_matrix("cos_theta", spec_u, spec_u) @ up,
-        "cx": down @ operator_matrix("sin_theta_cos_phi", spec_d, spec_u) @ up,
-        "k_du": down @ operator_matrix("sin_theta_sin_phi", spec_d, spec_u) @ up,
+        "cx": down @ sin_cos @ up,
+        "k_du": down @ -sin_cos @ up,
     }
 
 
 def up_leading_swap(x_min: float = 0.01, x_max: float = 12.0, step: float = 0.01, j_max: int = 30) -> float:
-    """Field at which |Y_0^0| overtakes |Y_1^0| in the up state, from public rotor calls."""
+    """Field at which |Y_0^0| overtakes |Y_1^0| in the up state, from scipy's tridiagonal solver."""
     from pendular.moments import interpolated_root
 
     xs = np.arange(x_min, x_max + step / 2, step)

@@ -380,6 +380,9 @@ class TestRejectedMomentInputs:
             ["fit", "--quantity", "gap", "--x-step", "0"],
             ["coupling-grid", "--alpha-grid", ","],
             ["coupling-grid", "--alpha-grid="],
+            ["coupling-grid", "--x-grid", "1,1"],
+            ["coupling-grid", "--x-grid", "2,1"],
+            ["coupling-grid", "--alpha-grid", "0,0"],
         ],
         ids=[
             "couplings-omega-nan",
@@ -422,6 +425,9 @@ class TestRejectedMomentInputs:
             "fit-x-step-zero",
             "coupling-grid-alpha-empty",
             "coupling-grid-alpha-blank",
+            "coupling-grid-x-repeated",
+            "coupling-grid-x-descending",
+            "coupling-grid-alpha-repeated",
         ],
     )
     def test_usage_error(self, argv, capsys):

@@ -17,7 +17,6 @@ def test_public_surface_is_pinned():
         "MAGIC_ANGLE",
         "MoleculePreset",
         "MomentSet",
-        "PendularSolution",
         "Phase",
         "PhaseThresholds",
         "PolyFit",
@@ -35,7 +34,6 @@ def test_public_surface_is_pinned():
         "pair_hamiltonian",
         "phase_diagram",
         "reduced_field",
-        "solve_pendular",
         "stark_map",
         "vdd_from_first_principles",
         "xyz_matrix",

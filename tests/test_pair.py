@@ -150,6 +150,14 @@ class TestFirstPrinciplesOracle:
         assert m_ss[0, 1] == pytest.approx(-1j * mset.cx, abs=1e-14)
         assert m_ss[1, 0] == pytest.approx(1j * mset.cx, abs=1e-14)
 
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 2.0, 6.0, 12.0])
+    def test_sin_sin_phi_element_is_minus_cx_with_a_positive_zero(self, x):
+        # K_du = 0.0 - cx, as the contraction with the sin*sin(phi) matrix gave it: +0.0 where cx = 0.
+        # Negating cx instead writes -0.0 into the real parts, and these bytes show it.
+        k_du = 0.0 - moments(x).cx
+        expected = np.array([[0.0, 1j * k_du], [-1j * k_du, 0.0]])
+        assert pseudo_spin_operators(x)[2].tobytes() == expected.tobytes()
+
 
 #: Single-molecule states of the two-molecule oracle: down (lowest M = +1), up (second M = 0) and
 #: down's degenerate partner, the lowest M = -1 state.
@@ -290,8 +298,13 @@ class TestCouplingSurface:
         assert row[3] == pytest.approx(m.cx**2, rel=1e-12)
 
     def test_rejects_an_empty_grid(self):
-        for x_grid, alpha_grid in (([1.0], []), ([], [0.0]), ([], []), (np.array([]), np.radians([0.0, 45.0]))):
-            with pytest.raises(ValueError, match="non-empty grid"):
+        for x_grid, alpha_grid, axis in (
+            ([1.0], [], "alpha"),
+            ([], [0.0], "x"),
+            ([], [], "x"),
+            (np.array([]), np.radians([0.0, 45.0]), "x"),
+        ):
+            with pytest.raises(ValueError, match=f"^{axis} grid must be a non-empty 1-D array"):
                 coupling_surface(x_grid, alpha_grid)
 
     @pytest.mark.parametrize(
@@ -300,7 +313,25 @@ class TestCouplingSurface:
         ids=["scalar-x", "scalar-alpha", "2d-x", "2d-alpha"],
     )
     def test_rejects_a_grid_that_is_not_1d(self, x_grid, alpha_grid):
-        with pytest.raises(ValueError, match="1-D axes"):
+        axis = "x" if np.ndim(x_grid) != 1 else "alpha"
+        with pytest.raises(ValueError, match=f"^{axis} grid must be a non-empty 1-D array, got shape"):
+            coupling_surface(x_grid, alpha_grid)
+
+    @pytest.mark.parametrize(
+        "x_grid,alpha_grid,message",
+        [
+            ([1.0, 1.0], [0.0], "x grid must be strictly ascending"),
+            ([2.0, 1.0], [0.0], "x grid must be strictly ascending"),
+            ([-1.0, 1.0], [0.0], "x grid must be non-negative"),
+            ([1.0], [0.0, 0.0], "alpha grid must be strictly ascending"),
+            ([1.0], [0.5, 0.0], "alpha grid must be strictly ascending"),
+        ],
+        ids=["x-repeated", "x-descending", "x-negative", "alpha-repeated", "alpha-descending"],
+    )
+    def test_rejects_an_axis_that_is_not_ascending_from_zero(self, x_grid, alpha_grid, message):
+        # The check moment_curves and stark_map make: a repeated or descending axis would repeat
+        # rows or break the x-major order.
+        with pytest.raises(ValueError, match=f"^{message}$"):
             coupling_surface(x_grid, alpha_grid)
 
     @pytest.mark.parametrize("alpha", [-1e-9, math.pi / 2 + 1e-9, math.nan, math.inf])
@@ -316,8 +347,8 @@ class TestCouplingSurface:
         alphas=st.lists(st.floats(0.0, math.pi / 2), max_size=4),
     )
     def test_equals_heisenberg_constants_per_point(self, xs, alphas):
-        xs = [0.0, 0.79, 4.1, *xs]
-        alphas = [0.0, MAGIC_ANGLE, math.pi / 2, *alphas]
+        xs = sorted({0.0, 0.79, 4.1, *xs})
+        alphas = sorted({0.0, MAGIC_ANGLE, math.pi / 2, *alphas})
         table = coupling_surface(xs, alphas)
         expected = []
         for x in xs:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from pendular.cli import main
-from pendular.moments import moments
+from pendular.moments import moments, stark_map
 from pendular.rotor import (
+    OPERATOR_KINDS,
     BasisSpec,
     EigensolverError,
     _stark_eigh,
     operator_matrix,
-    solve_pendular,
 )
 
 from oracles import build_stark_hamiltonian, central_difference, checked_tridiagonal_solve, quad_operator_matrix
@@ -42,7 +42,7 @@ class TestStarkHamiltonian:
         with pytest.raises(ValueError, match="finite and non-negative"):
             build_stark_hamiltonian(x, BasisSpec(m=0, j_max=3))
         with pytest.raises(ValueError, match="finite and non-negative"):
-            solve_pendular(x, BasisSpec(m=0, j_max=3))
+            _stark_eigh(x, 0, 3)
 
     def test_rejects_too_small_j_max(self):
         with pytest.raises(ValueError):
@@ -50,79 +50,71 @@ class TestStarkHamiltonian:
 
 
 class TestSolvePendular:
+    """One m block of the Stark Hamiltonian: ``_stark_eigh``'s levels and vectors, and ``stark_map``'s rows."""
+
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_field_free_energies_exact(self, m):
-        sol = solve_pendular(0.0, BasisSpec(m=m, j_max=12))
+        energies = _stark_eigh(0.0, m, 12)[0]
         js = np.arange(m, 13)
-        assert np.allclose(sol.energies, js * (js + 1.0), rtol=1e-12, atol=1e-12)
+        assert np.allclose(energies, js * (js + 1.0), rtol=1e-12, atol=1e-12)
 
     def test_field_free_states_are_basis_vectors(self):
-        sol = solve_pendular(0.0, BasisSpec(m=1, j_max=6))
-        assert sol.energies[0] == pytest.approx(2.0, abs=1e-12)
-        expected = np.zeros(sol.spec.dim)
+        energies, vecs = _stark_eigh(0.0, 1, 6)
+        assert energies[0] == pytest.approx(2.0, abs=1e-12)
+        expected = np.zeros(6)
         expected[0] = 1.0
-        assert np.allclose(sol.coefficients[:, 0], expected, atol=1e-12)
+        assert np.allclose(np.abs(vecs[:, 0]), expected, atol=1e-12)
 
     def test_second_order_shift_m0(self):
         # |1,0> shifts by +x^2/10 through second order.
-        sol = solve_pendular(0.1, BasisSpec(m=0))
-        assert sol.energies[1] == pytest.approx(2.0 + 0.01 / 10.0, abs=1e-4)
+        assert _stark_eigh(0.1, 0, 30)[0][1] == pytest.approx(2.0 + 0.01 / 10.0, abs=1e-4)
 
     def test_second_order_shift_m1(self):
         # |1,1> shifts by -x^2/20 through second order.
-        sol = solve_pendular(0.1, BasisSpec(m=1))
-        assert sol.energies[0] == pytest.approx(2.0 - 0.01 / 20.0, abs=1e-4)
+        assert _stark_eigh(0.1, 1, 30)[0][0] == pytest.approx(2.0 - 0.01 / 20.0, abs=1e-4)
 
     @pytest.mark.parametrize("x,m", [(0.5, 0), (4.0, 1), (11.0, 2)])
     def test_coefficients_orthonormal(self, x, m):
-        sol = solve_pendular(x, BasisSpec(m=m))
-        gram = sol.coefficients.T @ sol.coefficients
-        assert np.abs(gram - np.eye(sol.spec.dim)).max() <= 1e-12
-
-    @pytest.mark.parametrize("x,m", [(2.0, 0), (9.0, 1)])
-    def test_sign_convention_largest_positive(self, x, m):
-        sol = solve_pendular(x, BasisSpec(m=m))
-        for k in range(sol.spec.dim):
-            col = sol.coefficients[:, k]
-            assert col[np.argmax(np.abs(col))] > 0
+        vecs = _stark_eigh(x, m, 30)[1]
+        gram = vecs.T @ vecs
+        assert np.abs(gram - np.eye(31 - m)).max() <= 1e-12
 
     def test_energies_ascending(self):
-        sol = solve_pendular(8.0, BasisSpec(m=0))
-        assert np.all(np.diff(sol.energies) > 0)
+        assert np.all(np.diff(_stark_eigh(8.0, 0, 30)[0]) > 0)
 
     def test_adiabatic_labels(self):
-        sol = solve_pendular(3.0, BasisSpec(m=2, j_max=8))
-        assert [sol.j_tilde(k) for k in range(sol.spec.dim)] == list(range(2, 9))
+        table = stark_map([3.0], m_values=(2,), n_states=10, j_max=8)
+        assert [row[2] for row in table.rows] == list(range(2, 9))
+        assert [row[3] for row in table.rows] == _stark_eigh(3.0, 2, 8)[0].tolist()
 
     def test_single_state_block(self):
-        sol = solve_pendular(1.0, BasisSpec(m=5, j_max=5))
-        assert sol.spec.dim == 1
-        assert sol.energies[0] == pytest.approx(30.0 - 0.0, abs=1.0)
+        (row,) = stark_map([1.0], m_values=(5,), j_max=5).rows
+        assert row[:3] == (1.0, 5, 5)
+        assert row[3] == pytest.approx(30.0 - 0.0, abs=1.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("x", [0.5, 4.0, 12.0])
     def test_plus_minus_m_energies_identical(self, x, m):
-        up = solve_pendular(x, BasisSpec(m=m))
-        dn = solve_pendular(x, BasisSpec(m=-m))
-        assert np.allclose(up.energies, dn.energies, rtol=0, atol=1e-12)
+        up = _stark_eigh(x, m, 30)[0]
+        dn = _stark_eigh(x, -m, 30)[0]
+        assert np.allclose(up, dn, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("x,m,j_tilde", [(0.5, 0, 1), (3.0, 1, 1), (7.0, 0, 0), (11.0, 1, 2)])
     def test_hellmann_feynman(self, x, m, j_tilde):
         # -dE/dx equals <cos theta> in the same state.
         spec = BasisSpec(m=m)
-        sol = solve_pendular(x, spec)
         k = j_tilde - m
-        vec = sol.coefficients[:, k]
+        vec = _stark_eigh(x, m, spec.j_max)[1][:, k]
         cos_mat = operator_matrix("cos_theta", spec, spec)
         expectation = vec @ cos_mat @ vec
-        slope = central_difference(lambda t: solve_pendular(t, spec).energies[k], x)
+        slope = central_difference(lambda t: _stark_eigh(t, m, spec.j_max)[0][k], x)
         assert -slope == pytest.approx(expectation, abs=1e-6)
 
     @pytest.mark.parametrize("m", [0, 1])
     @pytest.mark.parametrize("x", [0.0, 3.0, 6.0, 9.0, 12.0])
     def test_basis_convergence_lowest_states(self, x, m):
-        small = solve_pendular(x, BasisSpec(m=m, j_max=20)).energies[:4]
-        large = solve_pendular(x, BasisSpec(m=m, j_max=30)).energies[:4]
+        small = _stark_eigh(x, m, 20)[0][:4]
+        large = _stark_eigh(x, m, 30)[0][:4]
         assert np.abs(small - large).max() <= 1e-10
 
 
@@ -161,7 +153,7 @@ class TestDirectTridiagonalSolve:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(EigensolverError, match=r"x=2\.0, m=0, j_max=5 \(Eigenvalues did not converge\)"):
-            solve_pendular(2.0, BasisSpec(m=0, j_max=5))
+            _stark_eigh(2.0, 0, 5)
         with pytest.raises(EigensolverError):
             moments(2.0)
         assert main(["couplings", "--x", "2", "--omega", "1e-5"]) == 1
@@ -177,15 +169,17 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             operator_matrix("sin_theta_cos_phi", BasisSpec(m=0, j_max=4), BasisSpec(m=2, j_max=4))
         with pytest.raises(ValueError):
-            operator_matrix("sin_theta_sin_phi", BasisSpec(m=1, j_max=4), BasisSpec(m=1, j_max=4))
+            operator_matrix("sin_theta_cos_phi", BasisSpec(m=1, j_max=4), BasisSpec(m=1, j_max=4))
         # Only m_bra = m_ket + 1 is built; the other block is the Hermitian conjugate.
-        for kind in ("sin_theta_cos_phi", "sin_theta_sin_phi"):
-            with pytest.raises(ValueError, match="m_bra = m_ket \\+ 1"):
-                operator_matrix(kind, BasisSpec(m=0, j_max=4), BasisSpec(m=1, j_max=4))
+        with pytest.raises(ValueError, match="m_bra = m_ket \\+ 1"):
+            operator_matrix("sin_theta_cos_phi", BasisSpec(m=0, j_max=4), BasisSpec(m=1, j_max=4))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            operator_matrix("cos_phi", BasisSpec(m=0, j_max=4), BasisSpec(m=0, j_max=4))
+        # sin*sin(phi) is no kind of its own: it is -i times the sin*cos(phi) block.
+        assert OPERATOR_KINDS == ("cos_theta", "sin_theta_cos_phi")
+        for kind in ("cos_phi", "sin_theta_sin_phi"):
+            with pytest.raises(ValueError, match="unknown operator kind"):
+                operator_matrix(kind, BasisSpec(m=1, j_max=4), BasisSpec(m=0, j_max=4))
 
     def test_known_elements(self):
         cos01 = operator_matrix("cos_theta", BasisSpec(m=0, j_max=3), BasisSpec(m=0, j_max=3))
@@ -194,8 +188,8 @@ class TestOperatorMatrix:
         assert sc[0, 0] == pytest.approx(-1.0 / math.sqrt(6.0), abs=1e-15)
 
     def test_delta_j_zero_vanishes(self):
-        # Parity: all three operators only couple J to J +- 1.
-        for kind, mb, mk in (("cos_theta", 1, 1), ("sin_theta_cos_phi", 2, 1), ("sin_theta_sin_phi", 1, 0)):
+        # Parity: both operators only couple J to J +- 1.
+        for kind, mb, mk in (("cos_theta", 1, 1), ("sin_theta_cos_phi", 2, 1), ("sin_theta_cos_phi", 1, 0)):
             ket = BasisSpec(m=mk, j_max=6)
             bra = BasisSpec(m=mb, j_max=6)
             mat = operator_matrix(kind, bra, ket)
@@ -212,22 +206,18 @@ class TestOperatorMatrix:
         assert np.abs(ladder - quad.real).max() <= 1e-10
 
     @staticmethod
-    def _sin_block(kind: str, bra: BasisSpec, ket: BasisSpec) -> np.ndarray:
-        """The library's block for m_bra = m_ket + 1, else its Hermitian conjugate.
-
-        The operator is Hermitian, so the m_bra = m_ket - 1 block is the transpose
-        of the other; for sin*sin, returned divided by i, that adds a sign.
-        """
+    def _sin_cos_block(bra: BasisSpec, ket: BasisSpec) -> np.ndarray:
+        """The library's sin*cos(phi) block for m_bra = m_ket + 1, else its transpose (the operator is real and Hermitian)."""
         if bra.m == ket.m + 1:
-            return operator_matrix(kind, bra, ket)
-        return (-1.0 if kind == "sin_theta_sin_phi" else 1.0) * operator_matrix(kind, ket, bra).T
+            return operator_matrix("sin_theta_cos_phi", bra, ket)
+        return operator_matrix("sin_theta_cos_phi", ket, bra).T
 
     @pytest.mark.parametrize("m_ket", [-2, -1, 0, 1, 2])
     @pytest.mark.parametrize("dm", [-1, 1])
     def test_sin_cos_phi_matches_quadrature(self, m_ket, dm):
         bra = BasisSpec(m=m_ket + dm, j_max=5)
         ket = BasisSpec(m=m_ket, j_max=5)
-        ladder = self._sin_block("sin_theta_cos_phi", bra, ket)
+        ladder = self._sin_cos_block(bra, ket)
         quad = quad_operator_matrix("sin_theta_cos_phi", bra, ket)
         assert np.abs(quad.imag).max() <= 1e-12
         assert np.abs(ladder - quad.real).max() <= 1e-10
@@ -235,13 +225,13 @@ class TestOperatorMatrix:
     @pytest.mark.parametrize("m_ket", [-2, -1, 0, 1, 2])
     @pytest.mark.parametrize("dm", [-1, 1])
     def test_sin_sin_phi_matches_quadrature(self, m_ket, dm):
-        # The library returns the operator divided by i.
+        # sin*sin(phi) = sin (e^{+i phi} - e^{-i phi}) / 2i is -i sin*cos(phi) from m to m + 1 and
+        # +i sin*cos(phi) from m to m - 1; pseudo_spin_operators relies on the first.
         bra = BasisSpec(m=m_ket + dm, j_max=5)
         ket = BasisSpec(m=m_ket, j_max=5)
-        ladder = self._sin_block("sin_theta_sin_phi", bra, ket)
         quad = quad_operator_matrix("sin_theta_sin_phi", bra, ket) / 1j
         assert np.abs(quad.imag).max() <= 1e-12
-        assert np.abs(ladder - quad.real).max() <= 1e-10
+        assert np.abs(-dm * self._sin_cos_block(bra, ket) - quad.real).max() <= 1e-12
 
     def test_rectangular_blocks(self):
         mat = operator_matrix("cos_theta", BasisSpec(m=0, j_max=6), BasisSpec(m=0, j_max=4))
