@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .moments import MomentSet, moments
+from .moments import MomentSet, _validated_grid, moments
 from .pair import CouplingGeometry, heisenberg_constants
 from .rotor import DEFAULT_J_MAX
 from .tables import Table
@@ -325,11 +325,11 @@ def _observables(spec: ChainSpec, sol: _SectorSolution) -> dict[str, float]:
         nn += float(weights @ zz)
     nn /= len(s.zz)
     return {
-        "nn_zz": nn,
-        "staggered": float(weights @ (s.staggered / spec.n) ** 2),
+        "nn_zz_correlation": nn,
+        "staggered_zz_correlation": float(weights @ (s.staggered / spec.n) ** 2),
         # The polarized state is the only state of sector n.
-        "overlap": float(weights[0]) if sol.k == spec.n else 0.0,
-        "magnetization": (2 * sol.k - spec.n) / spec.n,
+        "ground_overlap_polarized": float(weights[0]) if sol.k == spec.n else 0.0,
+        "magnetization_per_site": (2 * sol.k - spec.n) / spec.n,
     }
 
 
@@ -424,16 +424,12 @@ class _SectorSpectra:
         lowest, levels = self._search(order, lambda k, e: scale * e - gamma * (2 * k - n), tol, 2)
         tied = [k for k, e in lowest.items() if e - levels[0] <= tol]
         winner = max(tied)
-        obs = self.observables(winner)
         return ChainResult(
             ground_energy=lowest[winner],
-            magnetization_per_site=obs["magnetization"],
-            nn_zz_correlation=obs["nn_zz"],
-            staggered_zz_correlation=obs["staggered"],
             gap=max(levels[1] - levels[0], 0.0),
-            ground_overlap_polarized=obs["overlap"],
             ground_sector=winner,
             degenerate_partner_magnetization=(2 * min(tied) - n) / n if len(tied) > 1 else None,
+            **self.observables(winner),
         )
 
 
@@ -495,16 +491,9 @@ def phase_diagram(
     """
     if workers != 1:
         raise ValueError(f"workers must be 1 (the scan runs in one process), got {workers}")
-    xs = np.asarray(x_grid, dtype=float)
-    omegas = np.asarray(omega_grid, dtype=float)
-    if xs.ndim != 1 or omegas.ndim != 1 or not xs.size or not omegas.size:
-        raise ValueError(f"phase diagram needs non-empty 1-D grids, got x {xs.shape} and Omega/B {omegas.shape}")
-    if not np.all(np.isfinite(xs)) or np.any(xs < 0):
-        raise ValueError(f"phase diagram x values must be finite and non-negative, got {xs.tolist()}")
-    if not np.all(np.isfinite(omegas)) or np.any(omegas <= 0):
-        raise ValueError(f"phase diagram Omega/B values must be finite and positive, got {omegas.tolist()}")
-    if np.any(np.diff(xs) <= 0) or np.any(np.diff(omegas) <= 0):
-        raise ValueError("phase diagram grids must be strictly ascending")
+    xs, omegas = _validated_grid(x_grid, "x"), _validated_grid(omega_grid, "Omega/B")
+    if omegas[0] == 0.0:  # the axis ascends, so only its first point can be 0
+        raise ValueError("Omega/B grid must be positive")
     rows = []
     for x in xs.tolist():
         mset = moments(x, j_max)

@@ -68,10 +68,7 @@ def parse_grid(text: str) -> np.ndarray:
         if len(parts) != 3:
             raise ValueError(f"linear grid needs start:stop:step, got {text!r}")
         return uniform_grid(*(float(p) for p in parts))
-    values = np.array([float(p) for p in text.split(",") if p.strip() != ""])
-    if values.size == 0:
-        raise ValueError("empty grid")
-    return values
+    return np.array([float(p) for p in text.split(",") if p.strip() != ""])
 
 
 def positive_int(text: str) -> int:
@@ -138,9 +135,8 @@ def cmd_stark_map(args) -> tuple[Table, dict | None]:
 
 def cmd_moments(args) -> tuple[Table, dict | None]:
     curves = moment_curves(parse_grid(args.x_grid), args.j_max)
-    columns = ("x", "e0", "e1", "delta_e", "c0", "c1", "cx")
-    rows = list(zip(*(curves[key].tolist() for key in columns)))
-    return Table(schema="moments.v1", columns=columns, rows=rows), None
+    rows = list(zip(*(values.tolist() for values in curves.values())))
+    return Table(schema="moments.v1", columns=tuple(curves), rows=rows), None
 
 
 def _resolve_point(args):

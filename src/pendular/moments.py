@@ -24,9 +24,11 @@ energies do not depend on the choice.
 
 All of this runs through one private kernel, :func:`_pseudo_spin`: two
 block solves through :func:`pendular.rotor._stark_eigh`, the solve that
-:func:`stark_map` reads too, and contractions with the operator matrices
-that :mod:`pendular.rotor` caches read-only.  It rejects a non-finite or
-negative x, and a basis too small for x (:class:`TruncationError`).
+:func:`stark_map` reads too, and contractions bra @ M @ ket with the
+operator matrices that :mod:`pendular.rotor` caches read-only.  It rejects
+a non-finite or negative x, and a basis too small for x
+(:class:`TruncationError`); :func:`stark_map` applies the same tail test to
+every level it reports at x > 0.
 """
 
 from __future__ import annotations
@@ -50,7 +52,16 @@ TAIL_TOLERANCE = 1e-8
 
 
 class TruncationError(ValueError):
-    """A pseudo-spin state reaches the edge of the basis: j_max is too small for x."""
+    """A pseudo-spin state or reported level reaches the edge of the basis: j_max is too small for x."""
+
+
+def _check_tail(x: float, m: int, j_max: int, tail: float) -> None:
+    """:class:`TruncationError` if a last-basis amplitude ``tail`` of the m block exceeds :data:`TAIL_TOLERANCE`."""
+    if tail > TAIL_TOLERANCE:
+        raise TruncationError(
+            f"basis too small at x={x}, m={m}, j_max={j_max}: last-basis amplitude "
+            f"{tail:.2e} exceeds {TAIL_TOLERANCE:.0e}; raise j_max"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,27 +92,13 @@ class _PseudoSpin(NamedTuple):
     up: NDArray[np.float64]
 
 
-def _contract(kind: str, bra, m_bra: int, ket, m_ket: int, j_max: int) -> np.float64:
-    """<bra|op|ket>, evaluated as bra @ M @ ket.
-
-    The evaluation order is part of the output: an einsum over the same
-    vectors changes the last printed digit of c1 near its zero crossing.
-    """
-    return bra @ _operator(kind, m_bra, m_ket, j_max) @ ket
-
-
 def _block_state(x: float, m: int, level: int, j_max: int) -> tuple[float, NDArray[np.float64]]:
     """Energy and J = 1-positive vector of one level of the m block, from its full-spectrum solve."""
     energies, vecs = _stark_eigh(x, m, j_max)
     vec = vecs[:, level]
     if vec[1 - abs(m)] < 0:  # the J = 1 component
         vec = -vec
-    tail = abs(vec[-1])
-    if tail > TAIL_TOLERANCE:
-        raise TruncationError(
-            f"basis too small at x={x}, m={m}, j_max={j_max}: last-basis amplitude "
-            f"{tail:.2e} exceeds {TAIL_TOLERANCE:.0e}; raise j_max"
-        )
+    _check_tail(x, m, j_max, abs(vec[-1]))
     return float(energies[level]), vec
 
 
@@ -109,11 +106,13 @@ def _pseudo_spin(x: float, j_max: int) -> _PseudoSpin:
     """The pseudo-spin kernel; see the module docstring for the orientation."""
     e0, down = _block_state(x, DOWN_M, 0, j_max)
     e1, up = _block_state(x, UP_M, 1, j_max)
-    cx = _contract("sin_theta_cos_phi", down, DOWN_M, up, UP_M, j_max)
+    # Each moment is bra @ M @ ket in that order: an einsum over the same
+    # vectors changes the last printed digit of c1 near its zero crossing.
+    cx = down @ _operator("sin_theta_cos_phi", DOWN_M, UP_M, j_max) @ up
     if cx < 0:
         up, cx = -up, -cx
-    c0 = _contract("cos_theta", down, DOWN_M, down, DOWN_M, j_max)
-    c1 = _contract("cos_theta", up, UP_M, up, UP_M, j_max)
+    c0 = down @ _operator("cos_theta", DOWN_M, DOWN_M, j_max) @ down
+    c1 = up @ _operator("cos_theta", UP_M, UP_M, j_max) @ up
     return _PseudoSpin(MomentSet(float(x), e0, e1, float(c0), float(c1), float(cx)), down, up)
 
 
@@ -140,14 +139,18 @@ def moment_curves(
 
 
 def uniform_grid(start: float, stop: float, step: float) -> NDArray[np.float64]:
-    """start, start + step, ... through stop (within half a step), rounded to 12 decimals."""
+    """start, start + step, ... through stop (within half a step), rounded to 12 decimals, finite and distinct."""
     if not (np.all(np.isfinite((start, stop, step))) and step > 0 and stop >= start):
         raise ValueError(
             f"uniform grid needs finite start <= stop and step > 0, "
             f"got start={start}, stop={stop}, step={step}"
         )
-    points = (stop - start) / step + 1
-    return checked_grid(f"{start}:{stop}:{step}", points, lambda: np.round(np.arange(start, stop + step / 2, step), 12))
+    label, count = f"{start}:{stop}:{step}", (stop - start) / step + 1
+    with np.errstate(over="ignore"):  # rounding overflows above about 1.8e296; the check below rejects that
+        points = checked_grid(label, count, lambda: np.round(np.arange(start, stop + step / 2, step), 12))
+    if not (np.all(np.isfinite(points)) and np.all(np.diff(points) > 0)):
+        raise ValueError(f"uniform grid {label}: its points rounded to 12 decimals overflow or repeat")
+    return points
 
 
 def checked_grid(label: str, points: float, make) -> NDArray[np.float64]:
@@ -170,10 +173,12 @@ def _grid_curves(stop: float, step: float, j_max: int) -> dict[str, NDArray[np.f
 
 
 def _validated_grid(values, name: str = "x") -> NDArray[np.float64]:
-    """``values`` as a non-empty, non-negative, strictly ascending 1-D axis; ``name`` labels the messages."""
+    """``values`` as a non-empty, finite, non-negative, strictly ascending 1-D axis; ``name`` labels the messages."""
     xs = np.asarray(values, dtype=np.float64)
     if xs.ndim != 1 or not xs.size:
         raise ValueError(f"{name} grid must be a non-empty 1-D array, got shape {xs.shape}")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError(f"{name} grid must be finite")
     if np.any(xs < 0):
         raise ValueError(f"{name} grid must be non-negative")
     if np.any(np.diff(xs) <= 0):
@@ -192,6 +197,8 @@ def stark_map(
     Lowest ``n_states`` levels per m block, ordered by (x, m, j_tilde);
     ``m_values`` must be strictly ascending.  Within one m block the levels
     never cross, so the k-th carries the adiabatic label j_tilde = |m| + k.
+    A reported level at x > 0 with a last-basis amplitude above the kernel's
+    :data:`TAIL_TOLERANCE` raises :class:`TruncationError` (x = 0 is exact).
     """
     xs = _validated_grid(x_grid)
     if n_states < 1:
@@ -201,7 +208,9 @@ def stark_map(
     rows = []
     for x in xs.tolist():
         for m in m_values:
-            energies = _stark_eigh(x, m, j_max)[0]
+            energies, vecs = _stark_eigh(x, m, j_max)
+            if x > 0:
+                _check_tail(x, m, j_max, np.abs(vecs[-1, :n_states]).max())
             rows += [(x, m, abs(m) + k, float(e)) for k, e in enumerate(energies[:n_states])]
     return Table(
         schema="stark_map.v1",

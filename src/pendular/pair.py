@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .moments import MomentSet, _pseudo_spin, _validated_grid, moments
+from .moments import MomentSet, _validated_grid, moments
 from .rotor import DEFAULT_J_MAX
 from .tables import Table
 
@@ -119,12 +119,12 @@ def pseudo_spin_operators(
     Off-block elements vanish by exact m selection rules (cos keeps m;
     the sin operators change it by one), not by approximation.
     """
-    ps = _pseudo_spin(x, j_max)
+    mset = moments(x, j_max)
     # From m = 0 to m = 1, sin*sin(phi) is -i sin*cos(phi), so <down|ss|up> = i * K_du with
     # K_du = -cx; Hermiticity gives <up|ss|down> = -i * K_du.  0.0 - cx keeps +0.0 at cx = 0.
-    k_du = 0.0 - ps.moments.cx
-    m_cos = np.array([[ps.moments.c0, 0.0], [0.0, ps.moments.c1]])
-    m_sc = np.array([[0.0, ps.moments.cx], [ps.moments.cx, 0.0]])
+    k_du = 0.0 - mset.cx
+    m_cos = np.array([[mset.c0, 0.0], [0.0, mset.c1]])
+    m_sc = np.array([[0.0, mset.cx], [mset.cx, 0.0]])
     m_ss = np.array([[0.0, 1.0j * k_du], [-1.0j * k_du, 0.0]])
     return m_cos, m_sc, m_ss
 

@@ -85,11 +85,6 @@ def find_preset(presets: dict[str, MoleculePreset], name: str) -> MoleculePreset
         raise PresetError(f"unknown molecule {name!r}; available: {', '.join(sorted(presets))}") from None
 
 
-def _default_presets_text() -> tuple[str, str]:
-    ref = resources.files("pendular") / "data" / "presets.ini"
-    return ref.read_text(encoding="utf-8"), str(ref)
-
-
 def load_presets(path: str | Path | None = None) -> dict[str, MoleculePreset]:
     """Load molecule presets from an INI file (one section per molecule), keyed in name order.
 
@@ -97,7 +92,8 @@ def load_presets(path: str | Path | None = None) -> dict[str, MoleculePreset]:
     malformed entries raise :class:`PresetError` with file/line context.
     """
     if path is None:
-        text, source = _default_presets_text()
+        ref = resources.files("pendular") / "data" / "presets.ini"
+        text, source = ref.read_text(encoding="utf-8"), str(ref)
     else:
         source = str(path)
         try:

@@ -391,11 +391,11 @@ def all_sectors_ground_state(spec, method: str = "auto", scale: float = 1.0):
     obs = chain._observables(free, sectors[winner])
     result = chain.ChainResult(
         ground_energy=lowest[winner],
-        magnetization_per_site=obs["magnetization"],
-        nn_zz_correlation=obs["nn_zz"],
-        staggered_zz_correlation=obs["staggered"],
+        magnetization_per_site=obs["magnetization_per_site"],
+        nn_zz_correlation=obs["nn_zz_correlation"],
+        staggered_zz_correlation=obs["staggered_zz_correlation"],
         gap=max(spectrum[1] - spectrum[0], 0.0),
-        ground_overlap_polarized=obs["overlap"],
+        ground_overlap_polarized=obs["ground_overlap_polarized"],
         ground_sector=winner,
         degenerate_partner_magnetization=(2 * min(tied) - n) / n if len(tied) > 1 else None,
     )

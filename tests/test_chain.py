@@ -825,7 +825,8 @@ class TestPhaseDiagram:
         ids=["x-0d", "x-2d", "omega-0d", "omega-2d"],
     )
     def test_rejects_a_grid_that_is_not_1d(self, xs, omegas):
-        with pytest.raises(ValueError, match=re.escape(f"x {np.shape(xs)} and Omega/B {np.shape(omegas)}")):
+        axis, grid = ("x", xs) if np.ndim(xs) != 1 else ("Omega/B", omegas)
+        with pytest.raises(ValueError, match=re.escape(f"{axis} grid must be a non-empty 1-D array, got shape {np.shape(grid)}")):
             phase_diagram(xs, omegas, n=4)
 
     @pytest.mark.parametrize("workers", [0, -2, 2])
@@ -837,13 +838,13 @@ class TestPhaseDiagram:
     @pytest.mark.parametrize(
         "xs,omegas,match",
         [
-            ([1.0, math.nan], [1e-5], "x values"),
-            ([1.0, math.inf], [1e-5], "x values"),
-            ([-0.5, 1.0], [1e-5], "x values"),
-            ([1.0], [math.nan], "Omega/B values"),
-            ([1.0], [1e-5, math.inf], "Omega/B values"),
-            ([1.0], [0.0, 1e-5], "Omega/B values"),
-            ([1.0], [-1e-5], "Omega/B values"),
+            ([1.0, math.nan], [1e-5], "^x grid must be finite$"),
+            ([1.0, math.inf], [1e-5], "^x grid must be finite$"),
+            ([-0.5, 1.0], [1e-5], "^x grid must be non-negative$"),
+            ([1.0], [math.nan], "^Omega/B grid must be finite$"),
+            ([1.0], [1e-5, math.inf], "^Omega/B grid must be finite$"),
+            ([1.0], [0.0, 1e-5], "^Omega/B grid must be positive$"),
+            ([1.0], [-1e-5], "^Omega/B grid must be non-negative$"),
         ],
         ids=["x-nan", "x-inf", "x-negative", "omega-nan", "omega-inf", "omega-zero", "omega-negative"],
     )

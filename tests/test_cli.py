@@ -383,6 +383,8 @@ class TestRejectedMomentInputs:
             ["coupling-grid", "--x-grid", "1,1"],
             ["coupling-grid", "--x-grid", "2,1"],
             ["coupling-grid", "--alpha-grid", "0,0"],
+            ["stark-map", "--x-max", "12", "--x-step", "12", "--m", "0", "--n-states", "31"],
+            ["stark-map", "--x-max", "1000", "--x-step", "1000", "--m", "1"],
         ],
         ids=[
             "couplings-omega-nan",
@@ -428,6 +430,8 @@ class TestRejectedMomentInputs:
             "coupling-grid-x-repeated",
             "coupling-grid-x-descending",
             "coupling-grid-alpha-repeated",
+            "stark-map-unconverged-top-level",
+            "stark-map-unconverged-far-field",
         ],
     )
     def test_usage_error(self, argv, capsys):
@@ -437,6 +441,16 @@ class TestRejectedMomentInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("error:") == 1
+
+    @pytest.mark.parametrize(
+        "argv,axis",
+        [(["moments", "--x-grid", ","], "x"), (["phase-diagram", "--omega-grid", ","], "Omega/B")],
+        ids=["moments-x", "phase-diagram-omega"],
+    )
+    def test_empty_grid_names_its_axis(self, cli, argv, axis):
+        proc = cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(f"error: {axis} grid must be a non-empty 1-D array, got shape (0,)\n")
 
     def test_truncation_message_names_the_point(self, capsys):
         with pytest.raises(SystemExit):
@@ -469,6 +483,29 @@ class TestNonFiniteLogGrid:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert repr(grid) in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+
+class TestUnroundableUniformGrid:
+    """A start:stop:step grid whose points, rounded to 12 decimals, overflow to inf or repeat is the
+    grid's own usage error (exit 2), named in the message, with no numpy RuntimeWarning on stderr.
+    Each case runs in its own process, where a warning would print."""
+
+    @pytest.mark.parametrize(
+        "argv,grid",
+        [
+            (["phase-diagram", "--x-grid", "1:1e300:1e299"], "1.0:1e+300:1e+299"),
+            (["moments", "--x-grid", "1e308:1.7e308:1e307"], "1e+308:1.7e+308:1e+307"),
+            (["stark-map", "--x-max", "1e297", "--x-step", "1e296"], "0.0:1e+297:1e+296"),
+            (["moments", "--x-grid", "0:1e-12:1e-13"], "0.0:1e-12:1e-13"),
+        ],
+        ids=["phase-diagram-overflow", "moments-overflow", "stark-map-overflow", "moments-repeated"],
+    )
+    def test_usage_error_names_the_grid(self, argv, grid):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"uniform grid {grid}: " in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
 

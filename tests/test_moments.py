@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,13 @@ class TestStarkMap:
     def test_rejects_negative_grid(self):
         with pytest.raises(ValueError):
             stark_map([-1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("route", [stark_map, moment_curves])
+    def test_rejects_a_non_finite_point(self, route, bad):
+        # The axis check names the grid before any solve sees the point.
+        with pytest.raises(ValueError, match="^x grid must be finite$"):
+            route([1.0, bad])
 
     @pytest.mark.parametrize("m_values", [(1, 1), (1, 0), (-1, 1, 0)])
     def test_rejects_m_blocks_out_of_order(self, m_values):
@@ -322,6 +330,11 @@ class TestTruncationGuard:
         with pytest.raises(TruncationError):
             moment_curves([0.0, 6.0, 12.0], j_max=10)
 
+    def test_stark_map_rejects_an_unconverged_level(self):
+        # Level 30 of the m = 0 block at x = 12 has a last-basis amplitude near 1 at j_max = 30.
+        with pytest.raises(TruncationError, match="x=12.0, m=0, j_max=30"):
+            stark_map([12.0], m_values=(0,), n_states=31)
+
 
 class TestRejectedFields:
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -0.5])
@@ -394,3 +407,14 @@ class TestUniformGrid:
         with pytest.raises(ValueError) as exc:
             uniform_grid(start, stop, step)
         assert f"start={start}, stop={stop}, step={step}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [(1.0, 1e300, 1e299), (1e308, 1.7e308, 1e307), (0.0, 1e297, 1e296), (0.0, 1e-12, 1e-13)],
+        ids=["overflow-after-first", "overflow-all", "overflow-near-the-limit", "step-below-rounding"],
+    )
+    def test_rejects_points_that_round_to_inf_or_repeat(self, start, stop, step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would raise here
+            with pytest.raises(ValueError, match=re.escape(f"uniform grid {start}:{stop}:{step}: ")):
+                uniform_grid(start, stop, step)

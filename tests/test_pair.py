@@ -334,6 +334,11 @@ class TestCouplingSurface:
         with pytest.raises(ValueError, match=f"^{message}$"):
             coupling_surface(x_grid, alpha_grid)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_x(self, bad):
+        with pytest.raises(ValueError, match="^x grid must be finite$"):
+            coupling_surface([1.0, bad], [0.0])
+
     @pytest.mark.parametrize("alpha", [-1e-9, math.pi / 2 + 1e-9, math.nan, math.inf])
     def test_rejects_alpha_outside_the_quarter_turn(self, alpha):
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, pi/2\]"):

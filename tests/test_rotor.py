@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pendular.cli import main
-from pendular.moments import moments, stark_map
+from pendular.moments import TruncationError, moments, stark_map
 from pendular.rotor import (
     OPERATOR_KINDS,
     BasisSpec,
@@ -83,14 +83,21 @@ class TestSolvePendular:
         assert np.all(np.diff(_stark_eigh(8.0, 0, 30)[0]) > 0)
 
     def test_adiabatic_labels(self):
-        table = stark_map([3.0], m_values=(2,), n_states=10, j_max=8)
+        # Only converged levels are reported: every level at x = 0, and at x = 3 the lowest 7 of a
+        # j_max = 30 block; n_states beyond the block's 7 states reports all 7.
+        table = stark_map([0.0], m_values=(2,), n_states=10, j_max=8)
         assert [row[2] for row in table.rows] == list(range(2, 9))
-        assert [row[3] for row in table.rows] == _stark_eigh(3.0, 2, 8)[0].tolist()
+        assert [row[3] for row in table.rows] == _stark_eigh(0.0, 2, 8)[0].tolist()
+        table = stark_map([3.0], m_values=(2,), n_states=7, j_max=30)
+        assert [row[2] for row in table.rows] == list(range(2, 9))
+        assert [row[3] for row in table.rows] == _stark_eigh(3.0, 2, 30)[0][:7].tolist()
 
     def test_single_state_block(self):
-        (row,) = stark_map([1.0], m_values=(5,), j_max=5).rows
-        assert row[:3] == (1.0, 5, 5)
-        assert row[3] == pytest.approx(30.0 - 0.0, abs=1.0)
+        (row,) = stark_map([0.0], m_values=(5,), j_max=5).rows
+        assert row == (0.0, 5, 5, 30.0)
+        # Off x = 0 the one state is the basis edge itself, so its level is not converged.
+        with pytest.raises(TruncationError, match="x=1.0, m=5, j_max=5"):
+            stark_map([1.0], m_values=(5,), j_max=5)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("x", [0.5, 4.0, 12.0])
