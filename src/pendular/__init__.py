@@ -28,11 +28,10 @@ from .pair import (
     vdd_from_first_principles,
     xyz_matrix,
 )
-from .rotor import BasisSpec, operator_matrix
+from .rotor import operator_matrix
 from .units import MoleculePreset, load_presets, omega_over_b, reduced_field
 
 __all__ = [
-    "BasisSpec",
     "ChainResult",
     "ChainSpec",
     "CouplingGeometry",

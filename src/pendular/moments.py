@@ -147,7 +147,10 @@ def uniform_grid(start: float, stop: float, step: float) -> NDArray[np.float64]:
         )
     label, count = f"{start}:{stop}:{step}", (stop - start) / step + 1
     with np.errstate(over="ignore"):  # rounding overflows above about 1.8e296; the check below rejects that
-        points = checked_grid(label, count, lambda: np.round(np.arange(start, stop + step / 2, step), 12))
+        end = stop + step / 2  # inf past the float range: an overflowing point, which np.arange cannot take
+        points = checked_grid(
+            label, count, lambda: np.round(np.arange(start, end, step), 12) if np.isfinite(end) else np.array([end])
+        )
     if not (np.all(np.isfinite(points)) and np.all(np.diff(points) > 0)):
         raise ValueError(f"uniform grid {label}: its points rounded to 12 decimals overflow or repeat")
     return points

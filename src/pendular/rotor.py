@@ -16,8 +16,11 @@ The required recursions are
     sin(theta)e^{+i phi} Y_J^m = -sqrt((J+m+1)(J+m+2)/((2J+1)(2J+3))) Y_{J+1}^{m+1}
                                  +sqrt((J-m)(J-m-1)/((2J-1)(2J+1)))   Y_{J-1}^{m+1}.
 
-Every coefficient above is cross-checked against direct spherical quadrature
-in the test suite before anything downstream relies on it.
+:func:`operator_matrix` builds each operator between two blocks that share
+one j_max as numpy bands of these recursions: cos(theta) one band on both
+sides of the diagonal, sin(theta)cos(phi) the J -> J+1 and J -> J-1 bands
+from m to m + 1.  Every coefficient is cross-checked against direct
+spherical quadrature in the test suite before anything downstream relies on it.
 
 Each block is built as H(x) = J**2 - x*cos(theta) from two cached,
 read-only matrices per (m, j_max): the field-free diagonal and the same
@@ -29,7 +32,6 @@ moments kernel and :func:`pendular.moments.stark_map` both read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,47 +48,17 @@ class EigensolverError(RuntimeError):
     """Stark-block eigensolver failed; carries the offending (x, m, j_max)."""
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    """Truncated spherical-harmonic basis {|J,m> : J = |m| .. j_max}."""
-
-    m: int
-    j_max: int = DEFAULT_J_MAX
-
-    def __post_init__(self) -> None:
-        if self.j_max < abs(self.m):
-            raise ValueError(
-                f"j_max={self.j_max} must be at least |m|={abs(self.m)}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.j_max - abs(self.m) + 1
-
-    @property
-    def j_values(self) -> NDArray[np.int_]:
-        return np.arange(abs(self.m), self.j_max + 1)
-
-
-def _cos_coupling(j: int, m: int) -> float:
-    # <J+1,m|cos(theta)|J,m>
-    return math.sqrt(((j + 1) ** 2 - m * m) / ((2 * j + 1) * (2 * j + 3)))
-
-
-def _raise_to_upper(j: int, m: int) -> float:
-    # <J+1,m+1|sin(theta)e^{+i phi}|J,m>
-    return -math.sqrt((j + m + 1) * (j + m + 2) / ((2 * j + 1) * (2 * j + 3)))
-
-
-def _raise_to_lower(j: int, m: int) -> float:
-    # <J-1,m+1|sin(theta)e^{+i phi}|J,m>
-    return math.sqrt((j - m) * (j - m - 1) / ((2 * j - 1) * (2 * j + 1)))
+def _j_values(m: int, j_max: int) -> NDArray[np.int_]:
+    """J = |m| .. j_max of one truncated block; ValueError if the block is empty."""
+    if j_max < abs(m):
+        raise ValueError(f"j_max={j_max} must be at least |m|={abs(m)}")
+    return np.arange(abs(m), j_max + 1)
 
 
 @lru_cache(maxsize=None)
 def _operator(kind: str, m_bra: int, m_ket: int, j_max: int) -> NDArray[np.float64]:
-    """Read-only :func:`operator_matrix` between two j_max bases, built once per key."""
-    out = operator_matrix(kind, BasisSpec(m=m_bra, j_max=j_max), BasisSpec(m=m_ket, j_max=j_max))
+    """Read-only :func:`operator_matrix`, built once per key."""
+    out = operator_matrix(kind, m_bra, m_ket, j_max)
     out.setflags(write=False)
     return out
 
@@ -94,7 +66,7 @@ def _operator(kind: str, m_bra: int, m_ket: int, j_max: int) -> NDArray[np.float
 @lru_cache(maxsize=None)
 def _j_squared(m: int, j_max: int) -> NDArray[np.float64]:
     """Read-only field-free J**2 = diag(J(J+1)) of one m block."""
-    js = BasisSpec(m=m, j_max=j_max).j_values
+    js = _j_values(m, j_max)
     out = np.diag((js * (js + 1)).astype(np.float64))
     out.setflags(write=False)
     return out
@@ -118,39 +90,33 @@ def _stark_eigh(x: float, m: int, j_max: int) -> tuple[NDArray[np.float64], NDAr
     return energies, np.asfortranarray(vecs)
 
 
-def operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) -> NDArray[np.float64]:
-    """Matrix <J',m'|op|J,m> between two truncated bases.
+def operator_matrix(kind: str, m_bra: int, m_ket: int, j_max: int) -> NDArray[np.float64]:
+    """Matrix <J',m_bra|op|J,m_ket> between the m_bra and m_ket blocks, both truncated at j_max.
 
-    ``kind`` selects the operator: "cos_theta" requires m' = m,
-    "sin_theta_cos_phi" requires m' = m + 1.  On that block
+    ``kind`` selects the operator: "cos_theta" requires m_bra = m_ket,
+    "sin_theta_cos_phi" requires m_bra = m_ket + 1.  On that block
     sin(theta)sin(phi) is -i times the sin(theta)cos(phi) matrix.
     """
+    j_bra, j = _j_values(m_bra, j_max), _j_values(m_ket, j_max)
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
-    mb, mk = spec_bra.m, spec_ket.m
     if kind == "cos_theta":
-        if mb != mk:
-            raise ValueError(f"cos_theta requires equal m, got bra m={mb}, ket m={mk}")
-    elif mb != mk + 1:
-        raise ValueError(f"{kind} requires m_bra = m_ket + 1, got bra m={mb}, ket m={mk}")
+        if m_bra != m_ket:
+            raise ValueError(f"cos_theta requires equal m, got bra m={m_bra}, ket m={m_ket}")
+    elif m_bra != m_ket + 1:
+        raise ValueError(f"{kind} requires m_bra = m_ket + 1, got bra m={m_bra}, ket m={m_ket}")
 
-    out = np.zeros((spec_bra.dim, spec_ket.dim))
-    jb_lo, jb_hi = abs(mb), spec_bra.j_max
-
-    def put(j_target: int, col: int, value: float) -> None:
-        if jb_lo <= j_target <= jb_hi:
-            out[j_target - jb_lo, col] = value
-
-    for col, j in enumerate(int(j) for j in spec_ket.j_values):
-        if kind == "cos_theta":
-            put(j + 1, col, _cos_coupling(j, mk))
-            if j - 1 >= abs(mk):
-                put(j - 1, col, _cos_coupling(j - 1, mk))
-            continue
-        up, down = _raise_to_upper(j, mk), _raise_to_lower(j, mk)
-        if j - 1 < abs(mb):
-            down = 0.0
-        # Only sin(theta)e^{+i phi} links m to m + 1, and sin*cos is half of it.
-        put(j + 1, col, 0.5 * up)
-        put(j - 1, col, 0.5 * down)
+    m = m_ket
+    if kind == "cos_theta":
+        # c(J,m) for J = |m| .. j_max - 1, above and below the diagonal.
+        lo = j[:-1]
+        band = np.sqrt(((lo + 1) ** 2 - m * m) / ((2 * lo + 1) * (2 * lo + 3)))
+        return np.diag(band, 1) + np.diag(band, -1)
+    # Only sin(theta)e^{+i phi} links m to m + 1, and sin*cos is half of it.
+    up = 0.5 * -np.sqrt((j + m + 1) * (j + m + 2) / ((2 * j + 1) * (2 * j + 3)))
+    down = 0.5 * np.sqrt((j - m) * (j - m - 1) / ((2 * j - 1) * (2 * j + 1)))
+    out, cols = np.zeros((j_bra.size, j.size)), np.arange(j.size)
+    for rows, band in ((j + 1 - j_bra[0], up), (j - 1 - j_bra[0], down)):
+        keep = (rows >= 0) & (rows < j_bra.size)  # J +- 1 inside the bra block
+        out[rows[keep], cols[keep]] = band[keep]
     return out

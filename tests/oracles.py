@@ -11,7 +11,10 @@ Hamiltonian from Kronecker products of Pauli matrices, two molecules with
 every M from the Y_J^M recursions, and CSV text from
 ``csv.writer`` one formatted cell at a time.  The Stark tridiagonal comes
 from the closed-form cos(theta) recursion coefficient, computed here
-element-wise, and is solved by scipy's checked tridiagonal solver.
+element-wise, and is solved by scipy's checked tridiagonal solver.  The
+operator matrices are rebuilt one element at a time from scalar
+``math.sqrt`` recursions, the reference the vectorized builder must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import sph_harm_y
 
-from pendular.rotor import BasisSpec, operator_matrix
+from pendular.rotor import operator_matrix
 
 
 def stark_tridiagonal(x: float, m: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -45,18 +48,55 @@ def stark_tridiagonal(x: float, m: int, j_max: int) -> tuple[np.ndarray, np.ndar
     return diag, off
 
 
-def build_stark_hamiltonian(x: float, spec: BasisSpec) -> np.ndarray:
+def build_stark_hamiltonian(x: float, m: int, j_max: int) -> np.ndarray:
     """Stark Hamiltonian J(J+1) - x*cos(theta) in one m block, units of B.
 
     Returns the full symmetric tridiagonal matrix of :func:`stark_tridiagonal`.
     """
-    diag, off = stark_tridiagonal(x, spec.m, spec.j_max)
+    diag, off = stark_tridiagonal(x, m, j_max)
     h = np.diag(diag)
     if off.size:
         idx = np.arange(off.size)
         h[idx, idx + 1] = off
         h[idx + 1, idx] = off
     return h
+
+
+def _cos_coupling(j: int, m: int) -> float:
+    # <J+1,m|cos(theta)|J,m>
+    return math.sqrt(((j + 1) ** 2 - m * m) / ((2 * j + 1) * (2 * j + 3)))
+
+
+def _raise_to_upper(j: int, m: int) -> float:
+    # <J+1,m+1|sin(theta)e^{+i phi}|J,m>
+    return -math.sqrt((j + m + 1) * (j + m + 2) / ((2 * j + 1) * (2 * j + 3)))
+
+
+def _raise_to_lower(j: int, m: int) -> float:
+    # <J-1,m+1|sin(theta)e^{+i phi}|J,m>
+    return math.sqrt((j - m) * (j - m - 1) / ((2 * j - 1) * (2 * j + 1)))
+
+
+def scalar_operator_matrix(kind: str, m_bra: int, m_ket: int, j_max: int) -> np.ndarray:
+    """<J',m_bra| op |J,m_ket> written one element at a time from the scalar recursions.
+
+    ``kind`` is "cos_theta" (m_bra = m_ket) or "sin_theta_cos_phi"
+    (m_bra = m_ket + 1, half the sin(theta)e^{+i phi} element); J' and J
+    run from |m| to j_max.
+    """
+    lo_bra, lo_ket = abs(m_bra), abs(m_ket)
+    out = np.zeros((j_max - lo_bra + 1, j_max - lo_ket + 1))
+    for col, j in enumerate(range(lo_ket, j_max + 1)):
+        if kind == "cos_theta":
+            elements = [(j + 1, _cos_coupling(j, m_ket))]
+            if j - 1 >= lo_ket:
+                elements.append((j - 1, _cos_coupling(j - 1, m_ket)))
+        else:
+            elements = [(j + 1, 0.5 * _raise_to_upper(j, m_ket)), (j - 1, 0.5 * _raise_to_lower(j, m_ket))]
+        for j_bra, value in elements:
+            if lo_bra <= j_bra <= j_max:
+                out[j_bra - lo_bra, col] = value
+    return out
 
 
 def _grids(n_theta: int = 64, n_phi: int = 64):
@@ -68,8 +108,8 @@ def _grids(n_theta: int = 64, n_phi: int = 64):
     return t, p, weights
 
 
-def quad_operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) -> np.ndarray:
-    """Full rectangular <J',m'| op |J,m> by 2-D spherical quadrature (exact for these integrands; complex)."""
+def quad_operator_matrix(kind: str, m_bra: int, m_ket: int, j_max: int) -> np.ndarray:
+    """Full <J',m_bra| op |J,m_ket>, J' and J up to j_max, by 2-D spherical quadrature (exact for these integrands; complex)."""
     t, p, w = _grids()
     if kind == "cos_theta":
         op = np.cos(t)
@@ -79,8 +119,8 @@ def quad_operator_matrix(kind: str, spec_bra: BasisSpec, spec_ket: BasisSpec) ->
         op = np.sin(t) * np.sin(p)
     else:
         raise ValueError(kind)
-    y_bra = [np.conj(sph_harm_y(int(j), spec_bra.m, t, p)) for j in spec_bra.j_values]
-    y_ket = [sph_harm_y(int(j), spec_ket.m, t, p) for j in spec_ket.j_values]
+    y_bra = [np.conj(sph_harm_y(j, m_bra, t, p)) for j in range(abs(m_bra), j_max + 1)]
+    y_ket = [sph_harm_y(j, m_ket, t, p) for j in range(abs(m_ket), j_max + 1)]
     return np.array([[np.sum(yb * op * yk * w) for yk in y_ket] for yb in y_bra])
 
 
@@ -111,15 +151,14 @@ def public_route_elements(x: float, j_max: int = 30) -> dict[str, float]:
     contracted with minus the sin(theta)cos(phi) matrix: the m = 0 to 1 block
     identity that the quadrature tests pin.
     """
-    spec_d, spec_u = BasisSpec(m=1, j_max=j_max), BasisSpec(m=0, j_max=j_max)
     down = _j1_positive_state(x, 1, 1, j_max)
     up = _j1_positive_state(x, 0, 1, j_max)
-    sin_cos = operator_matrix("sin_theta_cos_phi", spec_d, spec_u)
+    sin_cos = operator_matrix("sin_theta_cos_phi", 1, 0, j_max)
     return {
         "e0": float(checked_tridiagonal_solve(x, 1, j_max)[0][0]),
         "e1": float(checked_tridiagonal_solve(x, 0, j_max)[0][1]),
-        "c0": down @ operator_matrix("cos_theta", spec_d, spec_d) @ down,
-        "c1": up @ operator_matrix("cos_theta", spec_u, spec_u) @ up,
+        "c0": down @ operator_matrix("cos_theta", 1, 1, j_max) @ down,
+        "c1": up @ operator_matrix("cos_theta", 0, 0, j_max) @ up,
         "cx": down @ sin_cos @ up,
         "k_du": down @ -sin_cos @ up,
     }

@@ -458,6 +458,12 @@ class TestRejectedMomentInputs:
         err = capsys.readouterr().err
         assert "x=1.0" in err and "m=1" in err and "j_max=1" in err
 
+    def test_m_above_j_max_names_the_first_empty_block(self, capsys):
+        # The stark-map-m-above-j-max case: m = 3 is the first block that j_max = 2 cannot hold.
+        with pytest.raises(SystemExit):
+            main(["stark-map", "--m", "0,1,2,3,4", "--j-max", "2"])
+        assert capsys.readouterr().err.endswith("error: j_max=2 must be at least |m|=3\n")
+
 
 class TestNonFiniteLogGrid:
     """A log grid with an infinite or nan bound is the grid's own usage error (exit 2), named in the
@@ -498,8 +504,17 @@ class TestUnroundableUniformGrid:
             (["moments", "--x-grid", "1e308:1.7e308:1e307"], "1e+308:1.7e+308:1e+307"),
             (["stark-map", "--x-max", "1e297", "--x-step", "1e296"], "0.0:1e+297:1e+296"),
             (["moments", "--x-grid", "0:1e-12:1e-13"], "0.0:1e-12:1e-13"),
+            (["moments", "--x-grid", "0:1.7e308:1e308"], "0.0:1.7e+308:1e+308"),
+            (["moments", "--x-grid", "1.7e308:1.7e308:1e308"], "1.7e+308:1.7e+308:1e+308"),
         ],
-        ids=["phase-diagram-overflow", "moments-overflow", "stark-map-overflow", "moments-repeated"],
+        ids=[
+            "phase-diagram-overflow",
+            "moments-overflow",
+            "stark-map-overflow",
+            "moments-repeated",
+            "moments-end-overflow",
+            "moments-single-point-end-overflow",
+        ],
     )
     def test_usage_error_names_the_grid(self, argv, grid):
         proc = run_cli(*argv)

@@ -9,7 +9,6 @@ def test_every_exported_name_resolves():
 def test_public_surface_is_pinned():
     # A name leaves or joins the package surface only with this list.
     assert sorted(pendular.__all__) == [
-        "BasisSpec",
         "ChainResult",
         "ChainSpec",
         "CouplingGeometry",

@@ -7,46 +7,60 @@ from pendular.cli import main
 from pendular.moments import TruncationError, moments, stark_map
 from pendular.rotor import (
     OPERATOR_KINDS,
-    BasisSpec,
     EigensolverError,
+    _operator,
     _stark_eigh,
     operator_matrix,
 )
 
-from oracles import build_stark_hamiltonian, central_difference, checked_tridiagonal_solve, quad_operator_matrix
+from oracles import (
+    build_stark_hamiltonian,
+    central_difference,
+    checked_tridiagonal_solve,
+    quad_operator_matrix,
+    scalar_operator_matrix,
+)
 
 
 class TestStarkHamiltonian:
     def test_field_free_is_rigid_rotor(self):
-        h = build_stark_hamiltonian(0.0, BasisSpec(m=0, j_max=2))
+        h = build_stark_hamiltonian(0.0, 0, 2)
         assert np.array_equal(h, np.diag([0.0, 2.0, 6.0]))
 
     def test_m0_coupling_element(self):
-        h = build_stark_hamiltonian(1.0, BasisSpec(m=0, j_max=1))
+        h = build_stark_hamiltonian(1.0, 0, 1)
         assert h[0, 1] == pytest.approx(-1.0 / math.sqrt(3.0), abs=1e-15)
 
     def test_m1_coupling_element(self):
-        h = build_stark_hamiltonian(1.0, BasisSpec(m=1, j_max=2))
+        h = build_stark_hamiltonian(1.0, 1, 2)
         assert h[0, 1] == pytest.approx(-math.sqrt(3.0 / 15.0), abs=1e-15)
 
     def test_exactly_symmetric(self):
-        h = build_stark_hamiltonian(7.3, BasisSpec(m=2, j_max=9))
+        h = build_stark_hamiltonian(7.3, 2, 9)
         assert np.array_equal(h, h.T)
 
     def test_rejects_negative_field(self):
         with pytest.raises(ValueError):
-            build_stark_hamiltonian(-0.1, BasisSpec(m=0, j_max=3))
+            build_stark_hamiltonian(-0.1, 0, 3)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_rejects_non_finite_field(self, x):
         with pytest.raises(ValueError, match="finite and non-negative"):
-            build_stark_hamiltonian(x, BasisSpec(m=0, j_max=3))
+            build_stark_hamiltonian(x, 0, 3)
         with pytest.raises(ValueError, match="finite and non-negative"):
             _stark_eigh(x, 0, 3)
 
     def test_rejects_too_small_j_max(self):
-        with pytest.raises(ValueError):
-            BasisSpec(m=3, j_max=2)
+        too_small = r"j_max=2 must be at least \|m\|=3"
+        with pytest.raises(ValueError, match=too_small):
+            operator_matrix("cos_theta", 3, 3, 2)
+        with pytest.raises(ValueError, match=too_small):
+            _stark_eigh(1.0, 3, 2)
+        with pytest.raises(ValueError, match=too_small):
+            stark_map([1.0], m_values=(3,), j_max=2)
+        # Only the bra block (m = 1) is empty at j_max = 0, and the message names it.
+        with pytest.raises(ValueError, match=r"j_max=0 must be at least \|m\|=1"):
+            operator_matrix("sin_theta_cos_phi", 1, 0, 0)
 
 
 class TestSolvePendular:
@@ -109,12 +123,11 @@ class TestSolvePendular:
     @pytest.mark.parametrize("x,m,j_tilde", [(0.5, 0, 1), (3.0, 1, 1), (7.0, 0, 0), (11.0, 1, 2)])
     def test_hellmann_feynman(self, x, m, j_tilde):
         # -dE/dx equals <cos theta> in the same state.
-        spec = BasisSpec(m=m)
-        k = j_tilde - m
-        vec = _stark_eigh(x, m, spec.j_max)[1][:, k]
-        cos_mat = operator_matrix("cos_theta", spec, spec)
+        j_max, k = 30, j_tilde - m
+        vec = _stark_eigh(x, m, j_max)[1][:, k]
+        cos_mat = operator_matrix("cos_theta", m, m, j_max)
         expectation = vec @ cos_mat @ vec
-        slope = central_difference(lambda t: _stark_eigh(t, m, spec.j_max)[0][k], x)
+        slope = central_difference(lambda t: _stark_eigh(t, m, j_max)[0][k], x)
         assert -slope == pytest.approx(expectation, abs=1e-6)
 
     @pytest.mark.parametrize("m", [0, 1])
@@ -170,62 +183,72 @@ class TestDirectTridiagonalSolve:
 class TestOperatorMatrix:
     def test_cos_theta_requires_equal_m(self):
         with pytest.raises(ValueError):
-            operator_matrix("cos_theta", BasisSpec(m=0, j_max=4), BasisSpec(m=1, j_max=4))
+            operator_matrix("cos_theta", 0, 1, 4)
 
     def test_sin_operators_require_adjacent_m(self):
         with pytest.raises(ValueError):
-            operator_matrix("sin_theta_cos_phi", BasisSpec(m=0, j_max=4), BasisSpec(m=2, j_max=4))
+            operator_matrix("sin_theta_cos_phi", 0, 2, 4)
         with pytest.raises(ValueError):
-            operator_matrix("sin_theta_cos_phi", BasisSpec(m=1, j_max=4), BasisSpec(m=1, j_max=4))
+            operator_matrix("sin_theta_cos_phi", 1, 1, 4)
         # Only m_bra = m_ket + 1 is built; the other block is the Hermitian conjugate.
         with pytest.raises(ValueError, match="m_bra = m_ket \\+ 1"):
-            operator_matrix("sin_theta_cos_phi", BasisSpec(m=0, j_max=4), BasisSpec(m=1, j_max=4))
+            operator_matrix("sin_theta_cos_phi", 0, 1, 4)
 
     def test_unknown_kind_rejected(self):
         # sin*sin(phi) is no kind of its own: it is -i times the sin*cos(phi) block.
         assert OPERATOR_KINDS == ("cos_theta", "sin_theta_cos_phi")
         for kind in ("cos_phi", "sin_theta_sin_phi"):
             with pytest.raises(ValueError, match="unknown operator kind"):
-                operator_matrix(kind, BasisSpec(m=1, j_max=4), BasisSpec(m=0, j_max=4))
+                operator_matrix(kind, 1, 0, 4)
 
     def test_known_elements(self):
-        cos01 = operator_matrix("cos_theta", BasisSpec(m=0, j_max=3), BasisSpec(m=0, j_max=3))
+        cos01 = operator_matrix("cos_theta", 0, 0, 3)
         assert cos01[1, 0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
-        sc = operator_matrix("sin_theta_cos_phi", BasisSpec(m=1, j_max=3), BasisSpec(m=0, j_max=3))
+        sc = operator_matrix("sin_theta_cos_phi", 1, 0, 3)
         assert sc[0, 0] == pytest.approx(-1.0 / math.sqrt(6.0), abs=1e-15)
 
     def test_delta_j_zero_vanishes(self):
         # Parity: both operators only couple J to J +- 1.
         for kind, mb, mk in (("cos_theta", 1, 1), ("sin_theta_cos_phi", 2, 1), ("sin_theta_cos_phi", 1, 0)):
-            ket = BasisSpec(m=mk, j_max=6)
-            bra = BasisSpec(m=mb, j_max=6)
-            mat = operator_matrix(kind, bra, ket)
+            mat = operator_matrix(kind, mb, mk, 6)
             for j in range(max(abs(mb), abs(mk)), 7):
                 assert mat[j - abs(mb), j - abs(mk)] == 0.0
 
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_bit_identical_to_scalar_recursions(self, kind):
+        # Every block of m in -8..8 and j_max up to 40 equals the element-by-element math.sqrt
+        # recursions byte for byte; the cached read-only copy holds the same bytes.
+        dm = 0 if kind == "cos_theta" else 1
+        mismatches = []
+        for m in range(-8, 9):
+            for j_max in range(max(abs(m), abs(m + dm)), 41):
+                ref = scalar_operator_matrix(kind, m + dm, m, j_max).tobytes()
+                if operator_matrix(kind, m + dm, m, j_max).tobytes() != ref:
+                    mismatches.append((m, j_max))
+                if j_max in (abs(m), 30) and _operator(kind, m + dm, m, j_max).tobytes() != ref:
+                    mismatches.append(("cached", m, j_max))
+        assert mismatches == []
+        assert not _operator(kind, 1, 1 - dm, 30).flags.writeable
+
     @pytest.mark.parametrize("m_ket", [-2, -1, 0, 1, 2])
     def test_cos_theta_matches_quadrature(self, m_ket):
-        bra = BasisSpec(m=m_ket, j_max=5)
-        ket = BasisSpec(m=m_ket, j_max=5)
-        ladder = operator_matrix("cos_theta", bra, ket)
-        quad = quad_operator_matrix("cos_theta", bra, ket)
+        ladder = operator_matrix("cos_theta", m_ket, m_ket, 5)
+        quad = quad_operator_matrix("cos_theta", m_ket, m_ket, 5)
         assert np.abs(quad.imag).max() <= 1e-12
         assert np.abs(ladder - quad.real).max() <= 1e-10
 
     @staticmethod
-    def _sin_cos_block(bra: BasisSpec, ket: BasisSpec) -> np.ndarray:
+    def _sin_cos_block(m_bra: int, m_ket: int) -> np.ndarray:
         """The library's sin*cos(phi) block for m_bra = m_ket + 1, else its transpose (the operator is real and Hermitian)."""
-        if bra.m == ket.m + 1:
-            return operator_matrix("sin_theta_cos_phi", bra, ket)
-        return operator_matrix("sin_theta_cos_phi", ket, bra).T
+        if m_bra == m_ket + 1:
+            return operator_matrix("sin_theta_cos_phi", m_bra, m_ket, 5)
+        return operator_matrix("sin_theta_cos_phi", m_ket, m_bra, 5).T
 
     @pytest.mark.parametrize("m_ket", [-2, -1, 0, 1, 2])
     @pytest.mark.parametrize("dm", [-1, 1])
     def test_sin_cos_phi_matches_quadrature(self, m_ket, dm):
-        bra = BasisSpec(m=m_ket + dm, j_max=5)
-        ket = BasisSpec(m=m_ket, j_max=5)
-        ladder = self._sin_cos_block(bra, ket)
-        quad = quad_operator_matrix("sin_theta_cos_phi", bra, ket)
+        ladder = self._sin_cos_block(m_ket + dm, m_ket)
+        quad = quad_operator_matrix("sin_theta_cos_phi", m_ket + dm, m_ket, 5)
         assert np.abs(quad.imag).max() <= 1e-12
         assert np.abs(ladder - quad.real).max() <= 1e-10
 
@@ -234,12 +257,6 @@ class TestOperatorMatrix:
     def test_sin_sin_phi_matches_quadrature(self, m_ket, dm):
         # sin*sin(phi) = sin (e^{+i phi} - e^{-i phi}) / 2i is -i sin*cos(phi) from m to m + 1 and
         # +i sin*cos(phi) from m to m - 1; pseudo_spin_operators relies on the first.
-        bra = BasisSpec(m=m_ket + dm, j_max=5)
-        ket = BasisSpec(m=m_ket, j_max=5)
-        quad = quad_operator_matrix("sin_theta_sin_phi", bra, ket) / 1j
+        quad = quad_operator_matrix("sin_theta_sin_phi", m_ket + dm, m_ket, 5) / 1j
         assert np.abs(quad.imag).max() <= 1e-12
-        assert np.abs(-dm * self._sin_cos_block(bra, ket) - quad.real).max() <= 1e-12
-
-    def test_rectangular_blocks(self):
-        mat = operator_matrix("cos_theta", BasisSpec(m=0, j_max=6), BasisSpec(m=0, j_max=4))
-        assert mat.shape == (7, 5)
+        assert np.abs(-dm * self._sin_cos_block(m_ket + dm, m_ket) - quad.real).max() <= 1e-12
