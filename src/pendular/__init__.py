@@ -11,7 +11,6 @@ from .chain import (
     ChainResult,
     ChainSpec,
     Phase,
-    PhaseThresholds,
     classify_phase,
     ground_state,
     molecular_chain,
@@ -40,7 +39,6 @@ __all__ = [
     "MomentSet",
     "MoleculePreset",
     "Phase",
-    "PhaseThresholds",
     "PolyFit",
     "SigmoidFit",
     "classify_phase",

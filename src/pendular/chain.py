@@ -125,24 +125,9 @@ class ChainResult:
     degenerate_partner_magnetization: float | None = None
 
 
-@dataclass(frozen=True)
-class PhaseThresholds:
-    """Explicit classification thresholds (finite-size ED, not exact boundaries)."""
-
-    magnetization: float = 0.99
-    staggered: float = 0.5
-    min_gap: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.magnetization, self.staggered, self.min_gap)):
-            raise ValueError(
-                f"thresholds must be finite, got magnetization={self.magnetization}, "
-                f"staggered={self.staggered}, min_gap={self.min_gap}"
-            )
-        if not 0 < self.magnetization <= 1:
-            raise ValueError(f"magnetization threshold must be in (0, 1], got {self.magnetization}")
-        if self.min_gap < 0:
-            raise ValueError(f"min_gap must be non-negative, got {self.min_gap}")
+#: Classification thresholds (finite-size ED, not exact boundaries): |magnetization| per site for
+#: the polarized label, then staggered zz correlation and gap for the antiferromagnetic one.
+PHASE_THRESHOLDS = {"magnetization": 0.99, "staggered": 0.5, "min_gap": 1e-6}
 
 
 def molecular_chain(mset: MomentSet, omega: float, n: int, boundary: str = "open") -> ChainSpec:
@@ -463,12 +448,12 @@ def polarization_onset_gamma(n: int, j: float, jz: float, boundary: str = "open"
     return _SectorSpectra(spec, "auto").onset_gamma()
 
 
-def classify_phase(result: ChainResult, thresholds: PhaseThresholds | None = None) -> Phase:
-    """Deterministic label from ED observables and explicit thresholds."""
-    t = thresholds or PhaseThresholds()
-    if abs(result.magnetization_per_site) >= t.magnetization:
+def classify_phase(result: ChainResult) -> Phase:
+    """Deterministic label from ED observables and ``PHASE_THRESHOLDS``."""
+    t = PHASE_THRESHOLDS
+    if abs(result.magnetization_per_site) >= t["magnetization"]:
         return Phase.FERROMAGNETIC
-    if result.staggered_zz_correlation >= t.staggered and result.gap >= t.min_gap:
+    if result.staggered_zz_correlation >= t["staggered"] and result.gap >= t["min_gap"]:
         return Phase.ANTIFERROMAGNETIC
     return Phase.LUTTINGER_LIQUID
 
@@ -478,7 +463,6 @@ def phase_diagram(
     omega_grid,
     n: int = 10,
     boundary: str = "open",
-    thresholds: PhaseThresholds | None = None,
     j_max: int = DEFAULT_J_MAX,
     workers: int = 1,
 ) -> Table:
@@ -487,7 +471,7 @@ def phase_diagram(
     x must be finite and non-negative and Omega/B finite and positive: the
     chain couplings are then Omega times their unit-Omega values, so each x is
     solved once, at unit Omega, for its whole Omega row.  ``workers`` must be 1;
-    it goes once ``perfbench/workloads.py`` stops passing it (ROADMAP item 11).
+    it goes once ``perfbench/workloads.py`` stops passing it (ROADMAP item 4).
     """
     if workers != 1:
         raise ValueError(f"workers must be 1 (the scan runs in one process), got {workers}")
@@ -503,7 +487,7 @@ def phase_diagram(
             result = spectra.ground_state(spec.gamma, scale=omega)
             jz_over_j = spec.jz / spec.j if spec.j != 0 else math.nan
             gamma_over_j = spec.gamma / spec.j if spec.j != 0 else math.nan
-            rows.append((x, omega, jz_over_j, gamma_over_j, classify_phase(result, thresholds)))
+            rows.append((x, omega, jz_over_j, gamma_over_j, classify_phase(result)))
     return Table(
         schema="phase_diagram.v1",
         columns=("x", "omega_over_b", "jz_over_j", "gamma_over_j", "phase"),

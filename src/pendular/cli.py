@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .chain import (
-    PhaseThresholds,
+    PHASE_THRESHOLDS,
     SectorConvergenceError,
     classify_phase,
     ground_state,
@@ -207,16 +207,9 @@ def cmd_chain_ed(args) -> tuple[Table, dict | None]:
 
 
 def cmd_phase_diagram(args) -> tuple[Table, dict | None]:
-    thresholds = PhaseThresholds(magnetization=args.fm_threshold)
-    table = phase_diagram(
-        parse_grid(args.x_grid),
-        parse_grid(args.omega_grid),
-        n=args.n,
-        boundary=args.boundary,
-        thresholds=thresholds,
-        j_max=args.j_max,
-    )
-    return table, {"n": args.n, "boundary": args.boundary, "thresholds": asdict(thresholds)}
+    xs, omegas = parse_grid(args.x_grid), parse_grid(args.omega_grid)
+    table = phase_diagram(xs, omegas, n=args.n, boundary=args.boundary, j_max=args.j_max)
+    return table, {"n": args.n, "boundary": args.boundary, "thresholds": dict(PHASE_THRESHOLDS)}
 
 
 def cmd_convert(args) -> tuple[Table, dict | None]:
@@ -300,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-grid", default="log:1e-6:1e-4:5")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--boundary", choices=("open", "periodic"), default="open")
-    p.add_argument("--fm-threshold", type=float, default=0.99, help="|magnetization| for the polarized label")
     _add_common(p)
     p.set_defaults(func=cmd_phase_diagram)
 

@@ -145,12 +145,13 @@ def uniform_grid(start: float, stop: float, step: float) -> NDArray[np.float64]:
             f"uniform grid needs finite start <= stop and step > 0, "
             f"got start={start}, stop={stop}, step={step}"
         )
-    label, count = f"{start}:{stop}:{step}", (stop - start) / step + 1
+    label = f"{start}:{stop}:{step}"
     with np.errstate(over="ignore"):  # rounding overflows above about 1.8e296; the check below rejects that
-        end = stop + step / 2  # inf past the float range: an overflowing point, which np.arange cannot take
-        points = checked_grid(
-            label, count, lambda: np.round(np.arange(start, end, step), 12) if np.isfinite(end) else np.array([end])
-        )
+        span, end = stop - start, stop + step / 2  # inf only past the float range, where a point overflows
+        if np.isinf(span) or np.isinf(end):
+            points = np.array([np.inf])  # np.arange cannot take it; the check below rejects the grid
+        else:
+            points = checked_grid(label, span / step + 1, lambda: np.round(np.arange(start, end, step), 12))
     if not (np.all(np.isfinite(points)) and np.all(np.diff(points) > 0)):
         raise ValueError(f"uniform grid {label}: its points rounded to 12 decimals overflow or repeat")
     return points
@@ -240,12 +241,7 @@ def interpolated_root(xs: NDArray[np.float64], ys: NDArray[np.float64]) -> float
     return float(brentq(spline, xs[i], xs[i + 1]))
 
 
-def c1_zero_crossing(
-    j_max: int = DEFAULT_J_MAX,
-    x_min: float = 0.01,
-    x_max: float = 12.0,
-    step: float = 0.01,
-) -> float:
+def c1_zero_crossing(x_min: float = 0.01, x_max: float = 12.0, step: float = 0.01) -> float:
     """Location of the interior zero of c1(x) on [x_min, x_max].
 
     Samples are the points x >= x_min of the cached 0:x_max:step grid, less
@@ -253,6 +249,6 @@ def c1_zero_crossing(
     """
     if not (np.isfinite(x_min) and 0.0 <= x_min <= x_max):
         raise ValueError(f"c1 crossing needs finite 0 <= x_min <= stop, got x_min={x_min}, stop={x_max}")
-    curves = _grid_curves(x_max, step, j_max)
+    curves = _grid_curves(x_max, step, DEFAULT_J_MAX)
     keep = (curves["x"] > 0.0) & (curves["x"] >= np.round(x_min, 12))
     return interpolated_root(curves["x"][keep], curves["c1"][keep])

@@ -111,15 +111,13 @@ def pair_hamiltonian(mset: MomentSet, geom: CouplingGeometry) -> NDArray[np.floa
     return h
 
 
-def pseudo_spin_operators(
-    x: float, j_max: int = DEFAULT_J_MAX
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.complex128]]:
+def pseudo_spin_operators(x: float) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.complex128]]:
     """2x2 matrices of cos, sin*cos(phi), sin*sin(phi) in the (down, up) basis.
 
     Off-block elements vanish by exact m selection rules (cos keeps m;
     the sin operators change it by one), not by approximation.
     """
-    mset = moments(x, j_max)
+    mset = moments(x)
     # From m = 0 to m = 1, sin*sin(phi) is -i sin*cos(phi), so <down|ss|up> = i * K_du with
     # K_du = -cx; Hermiticity gives <up|ss|down> = -i * K_du.  0.0 - cx keeps +0.0 at cx = 0.
     k_du = 0.0 - mset.cx
@@ -134,16 +132,14 @@ def _kron2(a: NDArray, b: NDArray) -> NDArray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-def vdd_from_first_principles(
-    x: float, geom: CouplingGeometry, j_max: int = DEFAULT_J_MAX
-) -> NDArray[np.float64]:
+def vdd_from_first_principles(x: float, geom: CouplingGeometry) -> NDArray[np.float64]:
     """Dipole-dipole coupling assembled directly from angular operators.
 
     Evaluates every term of the interaction in the product pseudo-spin basis
     without assuming any target matrix shape; serves as the independent
     check on :func:`pair_hamiltonian`.
     """
-    m_cos, m_sc, m_ss = pseudo_spin_operators(x, j_max)
+    m_cos, m_sc, m_ss = pseudo_spin_operators(x)
     sa, ca = math.sin(geom.alpha), math.cos(geom.alpha)
     # Projection of a unit dipole on the intermolecular axis.
     m_axis = sa * m_sc + ca * m_cos

@@ -245,7 +245,8 @@ class TestPhaseDiagram:
         payload = json.loads(proc.stdout)
         assert payload["schema_version"] == "phase_diagram.v1"
         assert payload["metadata"]["n"] == 4
-        assert payload["metadata"]["thresholds"]["magnetization"] == 0.99
+        thresholds = payload["metadata"]["thresholds"]
+        assert list(thresholds.items()) == [("magnetization", 0.99), ("staggered", 0.5), ("min_gap", 1e-06)]
 
     def test_undefined_ratios_are_json_null(self, cli):
         proc = cli("phase-diagram", "--x-grid", "0,1", "--omega-grid", "1e-4", "--n", "4", "--format", "json")
@@ -271,8 +272,9 @@ class TestPhaseDiagram:
 
 
 class TestRejectedChainInputs:
-    """Bad scan points, lab inputs and thresholds are usage errors (exit 2), caught before any
-    solve; so is --workers, which phase-diagram no longer takes (it runs in one process)."""
+    """Bad scan points and lab inputs are usage errors (exit 2), caught before any solve; so are
+    --workers and --fm-threshold, which phase-diagram does not take (it runs in one process, and
+    its labels use fixed thresholds)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -506,6 +508,8 @@ class TestUnroundableUniformGrid:
             (["moments", "--x-grid", "0:1e-12:1e-13"], "0.0:1e-12:1e-13"),
             (["moments", "--x-grid", "0:1.7e308:1e308"], "0.0:1.7e+308:1e+308"),
             (["moments", "--x-grid", "1.7e308:1.7e308:1e308"], "1.7e+308:1.7e+308:1e+308"),
+            (["moments", "--x-grid=-1e308:1e308:1e308"], "-1e+308:1e+308:1e+308"),
+            (["coupling-grid", "--alpha-grid=-1e308:1e308:1e308"], "-1e+308:1e+308:1e+308"),
         ],
         ids=[
             "phase-diagram-overflow",
@@ -514,6 +518,8 @@ class TestUnroundableUniformGrid:
             "moments-repeated",
             "moments-end-overflow",
             "moments-single-point-end-overflow",
+            "moments-span-overflow",
+            "coupling-grid-alpha-span-overflow",
         ],
     )
     def test_usage_error_names_the_grid(self, argv, grid):

@@ -324,6 +324,14 @@ class TestTruncationGuard:
     def test_adequate_basis_accepted(self, x, j_max):
         moments(x, j_max=j_max)
 
+    def test_default_basis_edge(self):
+        # Bisection on TruncationError puts the edge of the default j_max = 30 basis at
+        # x = 802.2824924715769 (accepted; the next float is rejected); X_MAX stays below it.
+        moments(802.28)
+        with pytest.raises(TruncationError, match="j_max=30"):
+            moments(802.29)
+        assert X_MAX < 802.28
+
     def test_grid_scan_rejected(self):
         with pytest.raises(TruncationError):
             moment_curves([0.0, 6.0, 12.0], j_max=10)
@@ -349,14 +357,16 @@ class TestRejectedFields:
             moment_curves([1.0, math.nan])
 
 
-#: Accepted domain of the property tests.  Below about 1e-7 the gap 3x^2/20
-#: falls under the resolution of energies near 2 and e0 == e1 in floating point.
-FIELDS = st.floats(min_value=1e-6, max_value=100.0, allow_nan=False)
+#: Accepted domain of the property tests: up to just below the tail-test edge of the default
+#: basis (x about 802.28).  Below about 1e-7 the gap 3x^2/20 falls under the resolution of
+#: energies near 2 and e0 == e1 in floating point.
+X_MAX = 802.0
+FIELDS = st.floats(min_value=1e-6, max_value=X_MAX, allow_nan=False)
 
 
 class TestMomentProperties:
     @settings(max_examples=60, deadline=None)
-    @given(x=st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    @given(x=st.floats(min_value=0.0, max_value=X_MAX, allow_nan=False))
     def test_moments_bounded(self, x):
         m = moments(x)
         assert abs(m.c0) <= 1 and abs(m.c1) <= 1 and abs(m.cx) <= 1
@@ -372,11 +382,11 @@ class TestMomentProperties:
     def test_cx_positive_and_continuous(self, x):
         a, b = moments(x), moments(x + 0.01)
         assert a.cx > 0 and b.cx > 0
-        # |dcx/dx| <= 0.11 on (0, 100]; a sign flip would jump by ~2 cx.
+        # |dcx/dx| <= 0.11 on (0, X_MAX]; a sign flip would jump by ~2 cx.
         assert abs(b.cx - a.cx) <= 2e-3
 
     @settings(max_examples=40, deadline=None)
-    @given(x=st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    @given(x=st.floats(min_value=0.0, max_value=X_MAX, allow_nan=False))
     def test_basis_converged(self, x):
         a, b = moments(x, j_max=30), moments(x, j_max=60)
         for field in ("e0", "e1", "c0", "c1", "cx"):
@@ -408,8 +418,14 @@ class TestUniformGrid:
 
     @pytest.mark.parametrize(
         "start, stop, step",
-        [(1.0, 1e300, 1e299), (1e308, 1.7e308, 1e307), (0.0, 1e297, 1e296), (0.0, 1e-12, 1e-13)],
-        ids=["overflow-after-first", "overflow-all", "overflow-near-the-limit", "step-below-rounding"],
+        [
+            (1.0, 1e300, 1e299),
+            (1e308, 1.7e308, 1e307),
+            (0.0, 1e297, 1e296),
+            (0.0, 1e-12, 1e-13),
+            (-1e308, 1e308, 1e308),
+        ],
+        ids=["overflow-after-first", "overflow-all", "overflow-near-the-limit", "step-below-rounding", "span-overflow"],
     )
     def test_rejects_points_that_round_to_inf_or_repeat(self, start, stop, step):
         with warnings.catch_warnings():

@@ -17,7 +17,6 @@ def test_public_surface_is_pinned():
         "MoleculePreset",
         "MomentSet",
         "Phase",
-        "PhaseThresholds",
         "PolyFit",
         "SigmoidFit",
         "classify_phase",
