@@ -44,7 +44,6 @@ from numpy.typing import NDArray
 
 from .moments import MomentSet, _validated_grid, moments
 from .pair import CouplingGeometry, heisenberg_constants
-from .rotor import DEFAULT_J_MAX
 from .tables import Table
 
 MAX_SITES = 16
@@ -463,7 +462,6 @@ def phase_diagram(
     omega_grid,
     n: int = 10,
     boundary: str = "open",
-    j_max: int = DEFAULT_J_MAX,
     workers: int = 1,
 ) -> Table:
     """Phase labels over an (x, Omega/B) grid; rows ordered by (x, omega).
@@ -480,7 +478,7 @@ def phase_diagram(
         raise ValueError("Omega/B grid must be positive")
     rows = []
     for x in xs.tolist():
-        mset = moments(x, j_max)
+        mset = moments(x)
         spectra = _SectorSpectra(molecular_chain(mset, 1.0, n, boundary), "auto")
         for omega in omegas.tolist():
             spec = molecular_chain(mset, omega, n, boundary)

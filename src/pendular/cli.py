@@ -6,7 +6,7 @@ Only main() writes the payload, to --out (with a JSON run manifest written
 next to it) or stdout; `fit` in CSV mode also writes its fit parameters to
 stderr.  Only main() maps errors to exit codes: 0 success, 1 numeric, file
 or memory failure (an exception in NUMERIC_ERRORS), 2 usage error (any
-other ValueError, such as a --j-max too small for the requested field).
+other ValueError, such as a field too large for the largest basis).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .chain import (
 from .fits import FIT_QUANTITIES, FitError, comparison_table
 from .moments import checked_grid, moment_curves, moments, stark_map, uniform_grid
 from .pair import MAGIC_ANGLE, CouplingGeometry, coupling_surface, heisenberg_constants
-from .rotor import DEFAULT_J_MAX, EigensolverError
+from .rotor import EigensolverError
 from .tables import Table, render
 from .units import PresetError, find_preset, load_presets, omega_over_b, reduced_field
 
@@ -72,7 +72,7 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def positive_int(text: str) -> int:
-    """argparse type for counts and basis cutoffs: an integer of at least 1."""
+    """argparse type for counts: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -130,11 +130,11 @@ def _write_output(args, table: Table, metadata: dict | None) -> None:
 def cmd_stark_map(args) -> tuple[Table, dict | None]:
     xs = uniform_grid(0.0, args.x_max, args.x_step)
     m_values = tuple(int(m) for m in args.m.split(","))
-    return stark_map(xs, m_values=m_values, n_states=args.n_states, j_max=args.j_max), None
+    return stark_map(xs, m_values=m_values, n_states=args.n_states), None
 
 
 def cmd_moments(args) -> tuple[Table, dict | None]:
-    curves = moment_curves(parse_grid(args.x_grid), args.j_max)
+    curves = moment_curves(parse_grid(args.x_grid))
     rows = list(zip(*(values.tolist() for values in curves.values())))
     return Table(schema="moments.v1", columns=tuple(curves), rows=rows), None
 
@@ -167,7 +167,7 @@ def _resolve_point(args):
 def cmd_couplings(args) -> tuple[Table, dict | None]:
     x, omega, units = _resolve_point(args)
     alpha = parse_alpha(args.alpha)
-    hc = heisenberg_constants(moments(x, args.j_max), CouplingGeometry(omega=omega, alpha=alpha))
+    hc = heisenberg_constants(moments(x), CouplingGeometry(omega=omega, alpha=alpha))
     jz_over_jy = hc.jz / hc.jy if hc.jy != 0 else math.nan
     gamma_over_jy = hc.gamma / hc.jy if hc.jy != 0 else math.nan
     constants = asdict(hc)
@@ -180,11 +180,11 @@ def cmd_couplings(args) -> tuple[Table, dict | None]:
 
 
 def cmd_coupling_grid(args) -> tuple[Table, dict | None]:
-    return coupling_surface(parse_grid(args.x_grid), parse_alpha_grid(args.alpha_grid), j_max=args.j_max), None
+    return coupling_surface(parse_grid(args.x_grid), parse_alpha_grid(args.alpha_grid)), None
 
 
 def cmd_fit(args) -> tuple[Table, dict | None]:
-    table, fit = comparison_table(args.quantity, x_max=args.x_max, step=args.x_step, j_max=args.j_max)
+    table, fit = comparison_table(args.quantity, x_max=args.x_max, step=args.x_step)
     fit_meta = asdict(fit)
     if args.format == "csv":
         sys.stderr.write(json.dumps({"fit": fit_meta}, indent=None) + "\n")
@@ -193,7 +193,7 @@ def cmd_fit(args) -> tuple[Table, dict | None]:
 
 def cmd_chain_ed(args) -> tuple[Table, dict | None]:
     x, omega, units = _resolve_point(args)
-    spec = molecular_chain(moments(x, args.j_max), omega, args.n, args.boundary)
+    spec = molecular_chain(moments(x), omega, args.n, args.boundary)
     result = ground_state(spec)
     phase = classify_phase(result)
     observables = asdict(result)
@@ -208,7 +208,7 @@ def cmd_chain_ed(args) -> tuple[Table, dict | None]:
 
 def cmd_phase_diagram(args) -> tuple[Table, dict | None]:
     xs, omegas = parse_grid(args.x_grid), parse_grid(args.omega_grid)
-    table = phase_diagram(xs, omegas, n=args.n, boundary=args.boundary, j_max=args.j_max)
+    table = phase_diagram(xs, omegas, n=args.n, boundary=args.boundary)
     return table, {"n": args.n, "boundary": args.boundary, "thresholds": dict(PHASE_THRESHOLDS)}
 
 
@@ -229,7 +229,6 @@ def cmd_convert(args) -> tuple[Table, dict | None]:
 def _add_common(sub) -> None:
     sub.add_argument("--out", help="output file path (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--j-max", type=positive_int, default=DEFAULT_J_MAX, help="basis truncation")
 
 
 def _add_point_flags(sub) -> None:

@@ -27,7 +27,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .moments import _grid_curves
-from .rotor import DEFAULT_J_MAX
 from .tables import Table
 
 
@@ -161,7 +160,7 @@ def fit_moment(xs, ys, initial) -> SigmoidFit:
 
 
 def fit_samples(
-    quantity: str, x_max: float = 12.0, step: float = 0.01, j_max: int = DEFAULT_J_MAX
+    quantity: str, x_max: float = 12.0, step: float = 0.01
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Computed samples of one fittable quantity on a uniform grid.
 
@@ -170,7 +169,7 @@ def fit_samples(
     """
     if quantity not in FIT_QUANTITIES:
         raise ValueError(f"quantity must be one of {FIT_QUANTITIES}, got {quantity!r}")
-    curves = _grid_curves(x_max, step, j_max)
+    curves = _grid_curves(x_max, step)
     return curves["x"], curves["delta_e" if quantity == "gap" else quantity]
 
 
@@ -186,14 +185,12 @@ def reference_curve(quantity: str, xs, alternate: bool = False) -> NDArray[np.fl
     return double_sigmoid(xs, *params)
 
 
-def comparison_table(
-    quantity: str, x_max: float = 12.0, step: float = 0.01, j_max: int = DEFAULT_J_MAX
-) -> tuple[Table, PolyFit | SigmoidFit]:
+def comparison_table(quantity: str, x_max: float = 12.0, step: float = 0.01) -> tuple[Table, PolyFit | SigmoidFit]:
     """Computed vs reference vs refit curves for one quantity.
 
     For cx the table carries both readings of the ambiguous reference x1.
     """
-    xs, ys = fit_samples(quantity, x_max, step, j_max)
+    xs, ys = fit_samples(quantity, x_max, step)
     fit = fit_gap(xs, ys) if quantity == "gap" else fit_moment(xs, ys, REFERENCE_MOMENT_PARAMS[quantity])
     curves = {"x": xs, "computed": ys, "reference": reference_curve(quantity, xs)}
     if quantity == "cx":

@@ -26,9 +26,10 @@ All of this runs through one private kernel, :func:`_pseudo_spin`: two
 block solves through :func:`pendular.rotor._stark_eigh`, the solve that
 :func:`stark_map` reads too, and contractions bra @ M @ ket with the
 operator matrices that :mod:`pendular.rotor` caches read-only.  It rejects
-a non-finite or negative x, and a basis too small for x
-(:class:`TruncationError`); :func:`stark_map` applies the same tail test to
-every level it reports at x > 0.
+a non-finite or negative x.  :func:`moments` solves the pair at j_max = 30
+and, only where that fails the tail test, at 60: x up to about 13590.7 is
+answered, and a larger x raises :class:`TruncationError`.  :func:`stark_map`
+takes the basis of each (x, m) block the same way.
 """
 
 from __future__ import annotations
@@ -50,9 +51,12 @@ UP_M = 0
 #: Largest last-basis amplitude |c_{j_max}| accepted for either state.
 TAIL_TOLERANCE = 1e-8
 
+#: The one basis past DEFAULT_J_MAX: a solve that fails the tail test there runs again here.
+LARGEST_J_MAX = 60
+
 
 class TruncationError(ValueError):
-    """A pseudo-spin state or reported level reaches the edge of the basis: j_max is too small for x."""
+    """A pseudo-spin state or reported level is not converged in the basis, or does not fit in it."""
 
 
 def _check_tail(x: float, m: int, j_max: int, tail: float) -> None:
@@ -60,7 +64,7 @@ def _check_tail(x: float, m: int, j_max: int, tail: float) -> None:
     if tail > TAIL_TOLERANCE:
         raise TruncationError(
             f"basis too small at x={x}, m={m}, j_max={j_max}: last-basis amplitude "
-            f"{tail:.2e} exceeds {TAIL_TOLERANCE:.0e}; raise j_max"
+            f"{tail:.2e} exceeds {TAIL_TOLERANCE:.0e}"
         )
 
 
@@ -116,17 +120,23 @@ def _pseudo_spin(x: float, j_max: int) -> _PseudoSpin:
     return _PseudoSpin(MomentSet(float(x), e0, e1, float(c0), float(c1), float(cx)), down, up)
 
 
-def moments(x: float, j_max: int = DEFAULT_J_MAX) -> MomentSet:
-    """Pseudo-spin energies and dipole moments at reduced field x."""
-    return _pseudo_spin(x, j_max).moments
+def _converged(solve, *args):
+    """``solve(*args, j_max)`` at DEFAULT_J_MAX, or at :data:`LARGEST_J_MAX` where that fails the tail test."""
+    try:
+        return solve(*args, DEFAULT_J_MAX)
+    except TruncationError:
+        return solve(*args, LARGEST_J_MAX)
 
 
-def moment_curves(
-    x_grid: NDArray[np.float64] | list[float], j_max: int = DEFAULT_J_MAX
-) -> dict[str, NDArray[np.float64]]:
+def moments(x: float) -> MomentSet:
+    """Pseudo-spin energies and dipole moments at reduced field x; the two blocks share one j_max."""
+    return _converged(_pseudo_spin, x).moments
+
+
+def moment_curves(x_grid: NDArray[np.float64] | list[float]) -> dict[str, NDArray[np.float64]]:
     """e0, e1, delta_e, c0, c1 and cx over an x grid, one :func:`moments` call per point."""
     xs = _validated_grid(x_grid)
-    sets = [moments(float(x), j_max) for x in xs]
+    sets = [moments(float(x)) for x in xs]
     return {
         "x": xs,
         "e0": np.array([m.e0 for m in sets]),
@@ -168,9 +178,9 @@ def checked_grid(label: str, points: float, make) -> NDArray[np.float64]:
 
 
 @lru_cache(maxsize=1)
-def _grid_curves(stop: float, step: float, j_max: int) -> dict[str, NDArray[np.float64]]:
+def _grid_curves(stop: float, step: float) -> dict[str, NDArray[np.float64]]:
     """Read-only moment curves on 0:stop:step, solved once per run for the fits and the c1 crossing."""
-    curves = moment_curves(uniform_grid(0.0, stop, step), j_max)
+    curves = moment_curves(uniform_grid(0.0, stop, step))
     for values in curves.values():
         values.setflags(write=False)
     return curves
@@ -190,19 +200,25 @@ def _validated_grid(values, name: str = "x") -> NDArray[np.float64]:
     return xs
 
 
-def stark_map(
-    x_grid,
-    m_values: tuple[int, ...] = (0, 1),
-    n_states: int = 4,
-    j_max: int = DEFAULT_J_MAX,
-) -> Table:
+def _block_levels(x: float, m: int, n_states: int, j_max: int) -> NDArray[np.float64]:
+    """Lowest ``n_states`` energies of the m block; TruncationError if it holds fewer or one is unconverged."""
+    if n_states > j_max + 1 - abs(m):
+        raise TruncationError(f"basis too small at x={x}, m={m}, j_max={j_max}: fewer than {n_states} levels")
+    energies, vecs = _stark_eigh(x, m, j_max)
+    if x > 0:  # the field-free levels are exact
+        _check_tail(x, m, j_max, np.abs(vecs[-1, :n_states]).max())
+    return energies[:n_states]
+
+
+def stark_map(x_grid, m_values: tuple[int, ...] = (0, 1), n_states: int = 4) -> Table:
     """Pendular level energies: rows (x, m, j_tilde, energy_over_b).
 
-    Lowest ``n_states`` levels per m block, ordered by (x, m, j_tilde);
+    Exactly ``n_states`` levels per m block, ordered by (x, m, j_tilde);
     ``m_values`` must be strictly ascending.  Within one m block the levels
     never cross, so the k-th carries the adiabatic label j_tilde = |m| + k.
-    A reported level at x > 0 with a last-basis amplitude above the kernel's
-    :data:`TAIL_TOLERANCE` raises :class:`TruncationError` (x = 0 is exact).
+    Each (x, m) block takes its basis as :func:`moments` does; a block that
+    cannot hold ``n_states`` levels fails as a level at x > 0 fails the tail
+    test (x = 0 is exact).
     """
     xs = _validated_grid(x_grid)
     if n_states < 1:
@@ -212,10 +228,8 @@ def stark_map(
     rows = []
     for x in xs.tolist():
         for m in m_values:
-            energies, vecs = _stark_eigh(x, m, j_max)
-            if x > 0:
-                _check_tail(x, m, j_max, np.abs(vecs[-1, :n_states]).max())
-            rows += [(x, m, abs(m) + k, float(e)) for k, e in enumerate(energies[:n_states])]
+            energies = _converged(_block_levels, x, m, n_states)
+            rows += [(x, m, abs(m) + k, float(e)) for k, e in enumerate(energies)]
     return Table(
         schema="stark_map.v1",
         columns=("x", "m", "j_tilde", "energy_over_b"),
@@ -249,6 +263,6 @@ def c1_zero_crossing(x_min: float = 0.01, x_max: float = 12.0, step: float = 0.0
     """
     if not (np.isfinite(x_min) and 0.0 <= x_min <= x_max):
         raise ValueError(f"c1 crossing needs finite 0 <= x_min <= stop, got x_min={x_min}, stop={x_max}")
-    curves = _grid_curves(x_max, step, DEFAULT_J_MAX)
+    curves = _grid_curves(x_max, step)
     keep = (curves["x"] > 0.0) & (curves["x"] >= np.round(x_min, 12))
     return interpolated_root(curves["x"][keep], curves["c1"][keep])

@@ -33,7 +33,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .moments import MomentSet, _validated_grid, moments
-from .rotor import DEFAULT_J_MAX
 from .tables import Table
 
 #: Array tilt at which the zz coupling vanishes exactly (3 cos^2 = 1).
@@ -179,7 +178,7 @@ def xyz_matrix(constants: HeisenbergConstants) -> NDArray[np.float64]:
     )
 
 
-def coupling_surface(x_grid, alpha_grid, j_max: int = DEFAULT_J_MAX) -> Table:
+def coupling_surface(x_grid, alpha_grid) -> Table:
     """Coupling constants per unit Omega over an (x, alpha) grid, rows x-major.
 
     Rows (x, alpha, jx_over_omega, jy_over_omega, jz_over_omega,
@@ -194,7 +193,7 @@ def coupling_surface(x_grid, alpha_grid, j_max: int = DEFAULT_J_MAX) -> Table:
     for a in np.ravel(alpha_grid).tolist():
         CouplingGeometry(omega=1.0, alpha=a)
     alphas = _validated_grid(alpha_grid, "alpha").tolist()
-    msets = [moments(x, j_max) for x in xs]
+    msets = [moments(x) for x in xs]
     # Per x, as Python scalars: libm pow and numpy's square can differ by an ulp.
     cx = np.array([[m.cx] for m in msets])
     diff_sq = np.array([[(m.c0 - m.c1) ** 2] for m in msets])

@@ -37,8 +37,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-#: Basis truncation used throughout unless a caller overrides it.  Converges
-#: all quantities for reduced fields x <= 12 far beyond plotting precision.
+#: Basis size of every first solve; it converges x <= 12 far beyond plotting precision.
+#: :mod:`pendular.moments` solves again at LARGEST_J_MAX only where the tail test fails.
 DEFAULT_J_MAX = 30
 
 OPERATOR_KINDS = ("cos_theta", "sin_theta_cos_phi")

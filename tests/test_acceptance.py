@@ -51,7 +51,7 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> bool:
 
 
 def test_criterion_01_field_free_limit():
-    # Every level of the m = 0, 1 and 2 blocks, labelled j_tilde = J at x = 0.
+    # The lowest 31 levels of the m = 0, 1 and 2 blocks, labelled j_tilde = J at x = 0.
     rows = stark_map([0.0], m_values=(0, 1, 2), n_states=DEFAULT_J_MAX + 1).rows
     js = np.array([row[2] for row in rows], dtype=float)
     energies = np.array([row[3] for row in rows])

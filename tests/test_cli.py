@@ -9,6 +9,8 @@ from typing import NamedTuple
 import pytest
 
 from pendular.cli import main
+from pendular.moments import LARGEST_J_MAX
+from pendular.rotor import _stark_eigh
 
 CLI = [sys.executable, "-m", "pendular.cli"]
 
@@ -83,6 +85,27 @@ class TestStarkMap:
         proc = cli("stark-map", "--x-max", "0.1", "--m=-1,0,1", "--n-states", "1")
         assert proc.returncode == 0
         assert [r["m"] for r in parse_csv(proc.stdout)] == ["-1", "0", "1"] * 2
+
+    @pytest.mark.parametrize(
+        "argv, m, n_states",
+        [
+            (["--x-max", "12", "--x-step", "12", "--m", "0", "--n-states", "31"], 0, 31),
+            (["--x-max", "1000", "--x-step", "1000", "--m", "1"], 1, 4),
+            (["--x-max", "0", "--x-step", "1", "--m", "0", "--n-states", "40"], 0, 40),
+        ],
+        ids=["unconverged-top-level", "unconverged-far-field", "more-levels-than-the-default-basis"],
+    )
+    def test_answered_from_the_largest_basis(self, cli, argv, m, n_states):
+        # Each block that the j_max = 30 basis cannot converge or hold is read from the j_max = 60 one,
+        # with exactly n_states rows.
+        proc = cli("stark-map", *argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = parse_csv(proc.stdout)
+        for x in sorted({float(r["x"]) for r in rows}):
+            block = [r for r in rows if float(r["x"]) == x]
+            assert [int(r["j_tilde"]) for r in block] == list(range(abs(m), abs(m) + n_states))
+            expected = _stark_eigh(x, m, LARGEST_J_MAX)[0][:n_states]
+            assert [float(r["energy_over_b"]) for r in block] == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
     def test_zero_step_is_usage_error(self, cli):
         proc = cli("stark-map", "--x-step", "0")
@@ -336,8 +359,10 @@ class TestRejectedChainInputs:
 
 class TestRejectedMomentInputs:
     """Non-finite fields, couplings and axes, a non-numeric tilt, constants that overflow, bad lab
-    fields and separations (including an r whose cube under- or overflows), bad cutoffs, too few fit
-    samples, too small a basis and an empty tilt grid are usage errors (exit 2)."""
+    fields and separations (including an r whose cube under- or overflows), bad counts, too few fit
+    samples, an empty tilt grid, and a field or block that the largest basis (j_max = 60) cannot
+    converge or hold are usage errors (exit 2).  No subcommand has a --j-max flag; the
+    moments-j-max-zero and convert-j-max-flag cases pin it as an unknown flag."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -349,17 +374,16 @@ class TestRejectedMomentInputs:
             ["moments", "--x-grid", "1,nan"],
             ["coupling-grid", "--x-grid", "inf", "--alpha-grid", "0"],
             ["moments", "--j-max", "0"],
-            ["couplings", "--x", "3", "--omega", "1e-5", "--j-max", "0"],
-            ["fit", "--quantity", "gap", "--j-max", "-3"],
             ["stark-map", "--n-states", "0"],
-            ["couplings", "--x", "1", "--omega", "1e-5", "--j-max", "1"],
-            ["moments", "--x-grid", "0,12", "--j-max", "10"],
-            ["fit", "--quantity", "gap", "--x-max", "1", "--j-max", "1"],
+            ["couplings", "--x", "13591", "--omega", "1e-5"],
+            ["moments", "--x-grid", "13591"],
+            ["fit", "--quantity", "gap", "--x-max", "13591", "--x-step", "13591"],
             ["stark-map", "--x-max", "nan"],
             ["stark-map", "--x-step", "inf"],
             ["fit", "--quantity", "gap", "--x-max", "nan"],
             ["fit", "--quantity", "c0", "--x-step", "5"],
-            ["stark-map", "--m", "0,1,2,3,4", "--j-max", "2"],
+            ["stark-map", "--m", "61"],
+            ["stark-map", "--m", "0", "--n-states", "62"],
             ["stark-map", "--m", "1,1"],
             ["stark-map", "--m", "1,0"],
             ["convert", "--molecule", "SrO", "--epsilon=-5"],
@@ -385,8 +409,6 @@ class TestRejectedMomentInputs:
             ["coupling-grid", "--x-grid", "1,1"],
             ["coupling-grid", "--x-grid", "2,1"],
             ["coupling-grid", "--alpha-grid", "0,0"],
-            ["stark-map", "--x-max", "12", "--x-step", "12", "--m", "0", "--n-states", "31"],
-            ["stark-map", "--x-max", "1000", "--x-step", "1000", "--m", "1"],
         ],
         ids=[
             "couplings-omega-nan",
@@ -396,8 +418,6 @@ class TestRejectedMomentInputs:
             "moments-x-nan",
             "coupling-grid-x-inf",
             "moments-j-max-zero",
-            "couplings-j-max-zero",
-            "fit-j-max-negative",
             "stark-map-n-states-zero",
             "couplings-truncated-basis",
             "moments-truncated-basis",
@@ -407,6 +427,7 @@ class TestRejectedMomentInputs:
             "fit-x-max-nan",
             "fit-too-few-samples",
             "stark-map-m-above-j-max",
+            "stark-map-n-states-above-j-max",
             "stark-map-m-duplicate",
             "stark-map-m-descending",
             "convert-epsilon-negative",
@@ -432,8 +453,6 @@ class TestRejectedMomentInputs:
             "coupling-grid-x-repeated",
             "coupling-grid-x-descending",
             "coupling-grid-alpha-repeated",
-            "stark-map-unconverged-top-level",
-            "stark-map-unconverged-far-field",
         ],
     )
     def test_usage_error(self, argv, capsys):
@@ -456,15 +475,34 @@ class TestRejectedMomentInputs:
 
     def test_truncation_message_names_the_point(self, capsys):
         with pytest.raises(SystemExit):
-            main(["couplings", "--x", "1", "--omega", "1e-5", "--j-max", "1"])
+            main(["couplings", "--x", "13591", "--omega", "1e-5"])
         err = capsys.readouterr().err
-        assert "x=1.0" in err and "m=1" in err and "j_max=1" in err
+        assert "x=13591.0, m=0, j_max=60: last-basis amplitude" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--x-grid", "13591"],
+            ["fit", "--quantity", "gap", "--x-max", "13591", "--x-step", "13591"],
+            ["stark-map", "--m", "61"],
+            ["stark-map", "--m", "0", "--n-states", "62"],
+        ],
+        ids=["moments", "fit", "stark-map-m", "stark-map-n-states"],
+    )
+    def test_largest_basis_is_the_limit(self, argv, capsys):
+        # The truncated-basis and above-j-max usage errors come from the j_max = 60 basis, not argparse.
+        with pytest.raises(SystemExit):
+            main(argv)
+        err = capsys.readouterr().err
+        assert err.count("error: basis too small at x=") == 1 and ", j_max=60: " in err
 
     def test_m_above_j_max_names_the_first_empty_block(self, capsys):
-        # The stark-map-m-above-j-max case: m = 3 is the first block that j_max = 2 cannot hold.
+        # m = 61 is the first block that the largest basis, j_max = 60, cannot hold; at x = 0 the
+        # one level of the m = 60 block is exact.
         with pytest.raises(SystemExit):
-            main(["stark-map", "--m", "0,1,2,3,4", "--j-max", "2"])
-        assert capsys.readouterr().err.endswith("error: j_max=2 must be at least |m|=3\n")
+            main(["stark-map", "--x-max", "0", "--m", "0,60,61,62", "--n-states", "1"])
+        err = capsys.readouterr().err
+        assert err.endswith("error: basis too small at x=0.0, m=61, j_max=60: fewer than 1 levels\n")
 
 
 class TestNonFiniteLogGrid:

@@ -4,13 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import public_route_elements, quad_operator_matrix, up_leading_swap
 from pendular.moments import (
+    LARGEST_J_MAX,
     MomentSet,
     TruncationError,
+    _block_levels,
     _pseudo_spin,
     c1_zero_crossing,
     interpolated_root,
@@ -20,7 +22,7 @@ from pendular.moments import (
     uniform_grid,
 )
 from pendular.pair import pseudo_spin_operators
-from pendular.rotor import _j_squared, _operator
+from pendular.rotor import _j_squared, _operator, _stark_eigh
 
 #: Every 7th point of the standard 0:12:0.01 grid, both ends included.
 STRIDED_GRID = [*np.round(np.arange(0.0, 12.0, 0.07), 12), 12.0]
@@ -51,8 +53,8 @@ class TestMoments:
 
     @pytest.mark.parametrize("x", [0.0, 1.0, 4.0, 8.0, 12.0])
     def test_j_max_convergence_all_fields(self, x):
-        a = moments(x, j_max=20)
-        b = moments(x, j_max=30)
+        a = _pseudo_spin(x, 20).moments
+        b = _pseudo_spin(x, 30).moments
         diffs = [abs(a.e0 - b.e0), abs(a.e1 - b.e1), abs(a.c0 - b.c0), abs(a.c1 - b.c1), abs(a.cx - b.cx)]
         assert max(diffs) <= 1e-10
 
@@ -167,6 +169,23 @@ class TestStarkMap:
         with pytest.raises(ValueError, match="strictly ascending"):
             stark_map([0.0, 1.0], m_values=m_values)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=st.sampled_from([0.0, 1.0, 12.0, 900.0]),
+        m=st.integers(min_value=-70, max_value=70),
+        n_states=st.integers(min_value=1, max_value=70),
+    )
+    @example(x=0.0, m=0, n_states=40)
+    @example(x=1.0, m=61, n_states=1)
+    def test_every_block_has_exactly_n_states_levels(self, x, m, n_states):
+        # A block that neither basis can fill with n_states converged levels is rejected, never cut short.
+        try:
+            rows = stark_map([x], m_values=(m,), n_states=n_states).rows
+        except TruncationError:
+            assert x > 0 or n_states > LARGEST_J_MAX + 1 - abs(m)
+            return
+        assert [row[2] for row in rows] == list(range(abs(m), abs(m) + n_states))
+
 
 class TestCoefficientMap:
     """Spherical-harmonic content of the oriented pseudo-spin states; index i is J = |m| + i."""
@@ -212,10 +231,8 @@ class TestPlusMinusMDegeneracy:
         # Building |down> in the m=-1 block gives the same energies and c0,
         # and the same transition moment magnitude.  The m = -1 elements come
         # from quadrature, a route independent of the library's recursions.
-        from pendular.rotor import _stark_eigh
-
         x, j_max = 5.0, 20
-        m = moments(x, j_max)
+        m = _pseudo_spin(x, j_max).moments
         energies, vecs = _stark_eigh(x, -1, j_max)
         down = vecs[:, 0]
         if down[0] < 0:  # the J = 1 component
@@ -310,10 +327,13 @@ class TestOrientationBeyondTwelve:
 
 
 class TestTruncationGuard:
+    """The tail test at a fixed basis, and the basis that moments and stark_map take from it: j_max = 30,
+    then 60 only where 30 fails."""
+
     @pytest.mark.parametrize("x, j_max", [(1.0, 1), (12.0, 10), (0.0, 1)])
     def test_small_basis_rejected(self, x, j_max):
         with pytest.raises(TruncationError) as exc:
-            moments(x, j_max=j_max)
+            _pseudo_spin(x, j_max)
         message = str(exc.value)
         assert f"x={x}" in message and "m=" in message and f"j_max={j_max}" in message
 
@@ -322,24 +342,49 @@ class TestTruncationGuard:
 
     @pytest.mark.parametrize("x, j_max", [(12.0, 20), (100.0, 30), (400.0, 30)])
     def test_adequate_basis_accepted(self, x, j_max):
-        moments(x, j_max=j_max)
+        _pseudo_spin(x, j_max)
 
     def test_default_basis_edge(self):
-        # Bisection on TruncationError puts the edge of the default j_max = 30 basis at
-        # x = 802.2824924715769 (accepted; the next float is rejected); X_MAX stays below it.
-        moments(802.28)
+        # The tail test at j_max = 30 accepts x = 802.2824924715769 and rejects the next float,
+        # where moments moves to the larger basis instead of failing.
+        edge = 802.2824924715769
+        _pseudo_spin(edge, 30)
         with pytest.raises(TruncationError, match="j_max=30"):
-            moments(802.29)
-        assert X_MAX < 802.28
+            _pseudo_spin(math.nextafter(edge, math.inf), 30)
+        assert moments(802.29) == _pseudo_spin(802.29, LARGEST_J_MAX).moments
+
+    def test_largest_basis_edge(self):
+        # Bisection on TruncationError puts the edge of the j_max = 60 basis at x = 13590.743668085091:
+        # moments answers it and rejects the next float; X_MAX stays below it.
+        edge = 13590.743668085091
+        assert moments(edge) == _pseudo_spin(edge, LARGEST_J_MAX).moments
+        with pytest.raises(TruncationError, match=f"m=0, j_max={LARGEST_J_MAX}: last-basis amplitude"):
+            moments(math.nextafter(edge, math.inf))
+        assert X_MAX < edge
+
+    def test_switch_between_bases_is_continuous(self):
+        # moments takes j_max = 30 at its edge and 60 at the next float, and the answers agree.
+        below = 802.2824924715769
+        above = math.nextafter(below, math.inf)
+        assert moments(below) == _pseudo_spin(below, 30).moments
+        assert moments(above) == _pseudo_spin(above, LARGEST_J_MAX).moments
+        for a, b in ((moments(below), _pseudo_spin(below, LARGEST_J_MAX).moments), (moments(below), moments(above))):
+            for field in ("e0", "e1", "c0", "c1", "cx"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-11)
 
     def test_grid_scan_rejected(self):
-        with pytest.raises(TruncationError):
-            moment_curves([0.0, 6.0, 12.0], j_max=10)
+        with pytest.raises(TruncationError, match=f"j_max={LARGEST_J_MAX}"):
+            moment_curves([0.0, 6.0, 13591.0])
 
     def test_stark_map_rejects_an_unconverged_level(self):
-        # Level 30 of the m = 0 block at x = 12 has a last-basis amplitude near 1 at j_max = 30.
+        # Level 30 of the m = 0 block at x = 12 has a last-basis amplitude near 1 at j_max = 30, so
+        # stark_map takes that block from the larger basis, whose top level is unconverged in turn.
         with pytest.raises(TruncationError, match="x=12.0, m=0, j_max=30"):
-            stark_map([12.0], m_values=(0,), n_states=31)
+            _block_levels(12.0, 0, 31, 30)
+        rows = stark_map([12.0], m_values=(0,), n_states=31).rows
+        assert [row[3] for row in rows] == _stark_eigh(12.0, 0, LARGEST_J_MAX)[0][:31].tolist()
+        with pytest.raises(TruncationError, match="x=12.0, m=0, j_max=60: last-basis amplitude"):
+            stark_map([12.0], m_values=(0,), n_states=61)
 
 
 class TestRejectedFields:
@@ -357,10 +402,11 @@ class TestRejectedFields:
             moment_curves([1.0, math.nan])
 
 
-#: Accepted domain of the property tests: up to just below the tail-test edge of the default
-#: basis (x about 802.28).  Below about 1e-7 the gap 3x^2/20 falls under the resolution of
-#: energies near 2 and e0 == e1 in floating point.
-X_MAX = 802.0
+#: Accepted domain of the property tests: up to just below the tail-test edge of the largest
+#: basis (x about 13590.74), across the switch from j_max = 30 to 60 near x = 802.28.  Below
+#: about 1e-7 the gap 3x^2/20 falls under the resolution of energies near 2 and e0 == e1 in
+#: floating point.
+X_MAX = 13590.0
 FIELDS = st.floats(min_value=1e-6, max_value=X_MAX, allow_nan=False)
 
 
@@ -388,9 +434,10 @@ class TestMomentProperties:
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(min_value=0.0, max_value=X_MAX, allow_nan=False))
     def test_basis_converged(self, x):
-        a, b = moments(x, j_max=30), moments(x, j_max=60)
+        # Against a basis 30 states larger than either of those moments takes.
+        a, b = moments(x), _pseudo_spin(x, LARGEST_J_MAX + 30).moments
         for field in ("e0", "e1", "c0", "c1", "cx"):
-            assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-10)
+            assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-10, abs=1e-10)
 
 
 class TestUniformGrid:

@@ -36,3 +36,18 @@ def test_public_surface_is_pinned():
         "vdd_from_first_principles",
         "xyz_matrix",
     ]
+
+
+def test_basis_size_is_not_a_setting():
+    # The tail test decides the basis; only the fixed-basis operator builder takes a j_max.
+    import inspect
+
+    from pendular.cli import build_parser
+
+    exported = [(name, getattr(pendular, name)) for name in pendular.__all__]
+    takes_j_max = [name for name, obj in exported if callable(obj) and "j_max" in inspect.signature(obj).parameters]
+    assert takes_j_max == ["operator_matrix"]
+    (subparsers,) = [action.choices for action in build_parser()._actions if isinstance(action.choices, dict)]
+    flags = {name: {f for action in sub._actions for f in action.option_strings} for name, sub in subparsers.items()}
+    assert len(flags) == 8 and "--x-grid" in flags["moments"]
+    assert [name for name, options in flags.items() if "--j-max" in options] == []

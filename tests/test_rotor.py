@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pendular.cli import main
-from pendular.moments import TruncationError, moments, stark_map
+from pendular.moments import LARGEST_J_MAX, TruncationError, _block_levels, moments, stark_map
 from pendular.rotor import (
     OPERATOR_KINDS,
     EigensolverError,
@@ -56,8 +56,10 @@ class TestStarkHamiltonian:
             operator_matrix("cos_theta", 3, 3, 2)
         with pytest.raises(ValueError, match=too_small):
             _stark_eigh(1.0, 3, 2)
-        with pytest.raises(ValueError, match=too_small):
-            stark_map([1.0], m_values=(3,), j_max=2)
+        # The stark-map helper turns the same empty block into a TruncationError, which moves
+        # stark_map on to the larger basis.
+        with pytest.raises(TruncationError, match=r"m=3, j_max=2: fewer than 1 levels"):
+            _block_levels(1.0, 3, 1, 2)
         # Only the bra block (m = 1) is empty at j_max = 0, and the message names it.
         with pytest.raises(ValueError, match=r"j_max=0 must be at least \|m\|=1"):
             operator_matrix("sin_theta_cos_phi", 1, 0, 0)
@@ -97,21 +99,28 @@ class TestSolvePendular:
         assert np.all(np.diff(_stark_eigh(8.0, 0, 30)[0]) > 0)
 
     def test_adiabatic_labels(self):
-        # Only converged levels are reported: every level at x = 0, and at x = 3 the lowest 7 of a
-        # j_max = 30 block; n_states beyond the block's 7 states reports all 7.
-        table = stark_map([0.0], m_values=(2,), n_states=10, j_max=8)
-        assert [row[2] for row in table.rows] == list(range(2, 9))
-        assert [row[3] for row in table.rows] == _stark_eigh(0.0, 2, 8)[0].tolist()
-        table = stark_map([3.0], m_values=(2,), n_states=7, j_max=30)
+        # The k-th level of the m block is j_tilde = |m| + k.  At j_max = 8 the m = 2 block holds 7
+        # levels, so the stark-map helper rejects 10 of them rather than report fewer.
+        table = stark_map([0.0], m_values=(2,), n_states=10)
+        assert [row[2] for row in table.rows] == list(range(2, 12))
+        assert [row[3] for row in table.rows] == _stark_eigh(0.0, 2, 30)[0][:10].tolist()
+        table = stark_map([3.0], m_values=(2,), n_states=7)
         assert [row[2] for row in table.rows] == list(range(2, 9))
         assert [row[3] for row in table.rows] == _stark_eigh(3.0, 2, 30)[0][:7].tolist()
+        assert _block_levels(0.0, 2, 7, 8).tolist() == _stark_eigh(0.0, 2, 8)[0].tolist()
+        with pytest.raises(TruncationError, match="x=0.0, m=2, j_max=8: fewer than 10 levels"):
+            _block_levels(0.0, 2, 10, 8)
 
     def test_single_state_block(self):
-        (row,) = stark_map([0.0], m_values=(5,), j_max=5).rows
-        assert row == (0.0, 5, 5, 30.0)
+        assert _block_levels(0.0, 5, 1, 5).tolist() == [30.0]
         # Off x = 0 the one state is the basis edge itself, so its level is not converged.
-        with pytest.raises(TruncationError, match="x=1.0, m=5, j_max=5"):
-            stark_map([1.0], m_values=(5,), j_max=5)
+        with pytest.raises(TruncationError, match="x=1.0, m=5, j_max=5: last-basis amplitude"):
+            _block_levels(1.0, 5, 1, 5)
+        # The same holds for the one-state block of the largest basis, which stark_map cannot leave.
+        (row,) = stark_map([0.0], m_values=(LARGEST_J_MAX,), n_states=1).rows
+        assert row == (0.0, 60, 60, 3660.0)
+        with pytest.raises(TruncationError, match="x=1.0, m=60, j_max=60: last-basis amplitude"):
+            stark_map([1.0], m_values=(LARGEST_J_MAX,), n_states=1)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("x", [0.5, 4.0, 12.0])
